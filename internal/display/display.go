@@ -18,6 +18,7 @@ import (
 	"repro/internal/draw"
 	"repro/internal/geom"
 	"repro/internal/rel"
+	"repro/internal/types"
 )
 
 // metaGenCounter issues metadata generation stamps for Extended values,
@@ -284,26 +285,42 @@ func (e *Extended) DisplayNamed(name string, row int) (draw.List, error) {
 // A Sweep is not safe for concurrent use — parallel render workers take
 // one each.
 type Sweep struct {
-	e   *Extended
-	cur *rel.Cursor
+	e    *Extended
+	cur  *rel.Cursor
+	cols []int     // schema position of each location attribute; -1 for computed
+	loc  []float64 // Location's result, reused across calls
 }
 
 // NewSweep returns a sweep over e's relation.
-func (e *Extended) NewSweep() *Sweep { return &Sweep{e: e, cur: e.Rel.NewCursor()} }
+func (e *Extended) NewSweep() *Sweep {
+	s := &Sweep{e: e, cur: e.Rel.NewCursor()}
+	if !e.SeqLayout {
+		s.cols = make([]int, len(e.LocAttrs))
+		for i, a := range e.LocAttrs {
+			s.cols[i] = e.Rel.Schema().Index(a)
+		}
+		s.loc = make([]float64, len(e.LocAttrs))
+	}
+	return s
+}
 
 // Location is Extended.Location at row, read through the sweep's cursor.
+// The slice is the sweep's own and is overwritten by the next call.
 func (s *Sweep) Location(row int) []float64 {
 	if s.e.SeqLayout {
 		return []float64{0, -float64(row) * SeqRowHeight}
 	}
-	out := make([]float64, len(s.e.LocAttrs))
 	s.cur.Seek(row)
-	for i, a := range s.e.LocAttrs {
-		if f, ok := s.cur.Attr(a).AsFloat(); ok {
-			out[i] = f
+	for i, c := range s.cols {
+		var v types.Value
+		if c >= 0 {
+			v = s.cur.Col(c)
+		} else {
+			v = s.cur.Attr(s.e.LocAttrs[i])
 		}
+		s.loc[i], _ = v.AsFloat() // 0 when not numeric
 	}
-	return out
+	return s.loc
 }
 
 // Display evaluates the active display attribute for row.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/draw"
+	"repro/internal/expr"
 	"repro/internal/geom"
 	"repro/internal/rel"
 	"repro/internal/types"
@@ -72,6 +73,36 @@ func TestLocationRead(t *testing.T) {
 	loc := e.Location(2)
 	if loc[0] != -93 || loc[1] != 32 || loc[2] != 200 {
 		t.Errorf("location = %v", loc)
+	}
+}
+
+// A sweep reads locations through resolved column positions and a
+// reused buffer; it must agree with Extended.Location on stored,
+// computed and null location attributes.
+func TestSweepLocationMatchesLocation(t *testing.T) {
+	r := stationsRel(t)
+	if err := r.AddComputed("alt2", expr.MustParse("alt * 2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Update(1, "lat", types.Null); err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewExtended("e", r, []string{"lon", "lat", "alt2"}, circleDisplay())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := e.NewSweep()
+	for row := 0; row < r.Len(); row++ {
+		want := e.Location(row)
+		got := sw.Location(row)
+		if len(got) != len(want) {
+			t.Fatalf("row %d: sweep location %v, want %v", row, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("row %d: sweep location %v, want %v", row, got, want)
+			}
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ const (
 	RenderSpatialBuildNS   = "render.spatial_build_ns"  // histogram: index build latency
 	RenderMemoHits         = "render.memo_hits"         // display lists served from the memo
 	RenderMemoMisses       = "render.memo_misses"       // display functions actually evaluated
-	RenderMemoEvictions    = "render.memo_evictions"    // memo entries dropped by LRU
+	RenderMemoEvictions    = "render.memo_evictions"    // memo entries dropped: retired generation tables and cap overflow
 	RenderWormholeStale    = "render.wormhole_stale"    // cached interiors retired by a generation change
 
 	// Database (internal/db).
@@ -98,7 +98,7 @@ const (
 	ServerFrameBytes = "server.frame_bytes" // encoded PNG bytes shipped
 	ServerOps        = "server.ops"         // client viewer operations applied
 	ServerBroadcasts = "server.broadcasts"  // generation-bump fan-outs to sessions
-	ServerFrameNS    = "server.frame_ns"    // histogram: render+encode latency per pushed frame
+	ServerFrameNS    = "server.frame_ns"    // histogram: render+encode latency per frame sent
 )
 
 // Canonical span names, same taxonomy as the metrics above. Call sites

@@ -776,5 +776,15 @@ func (cu *Cursor) Attr(name string) types.Value {
 	return v
 }
 
+// Col returns stored column i (a Schema position) at the current row:
+// AttrValue for that column's name without the name lookup.
+func (cu *Cursor) Col(i int) types.Value {
+	c := &cu.c
+	if c.rd.r == nil {
+		c.rd = c.rel.reader()
+	}
+	return c.rd.value(c.idx, i)
+}
+
 // Err reports the first chunk read error the cursor hit, if any.
 func (cu *Cursor) Err() error { return cu.c.rd.Err() }

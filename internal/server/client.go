@@ -30,7 +30,8 @@ type client struct {
 	// drop-oldest semantics coalesces bursts into one re-render.
 	dirty chan GensMsg
 
-	frameSeq int64 // run-loop goroutine only
+	frameSeq int64  // run-loop goroutine only
+	shown    uint64 // snapshot of the newest frame rendered; run-loop goroutine only
 }
 
 // frame is one rendered payload: the meta message and the PNG it
@@ -42,8 +43,8 @@ type frame struct {
 
 // run drives the client until its connection closes or ctx is
 // cancelled: decode ops, apply them to the viewer, render, push frames,
-// and re-render on invalidation. It owns frameSeq and is the only
-// goroutine that sends frames on this connection.
+// and re-render on invalidation. It owns frameSeq and shown and is the
+// only goroutine that sends frames on this connection.
 func (c *client) run(ctx context.Context) error {
 	ops := make(chan ClientOp, 16)
 	readErr := make(chan error, 1)
@@ -53,7 +54,21 @@ func (c *client) run(ctx context.Context) error {
 	if err := c.renderAndSend(ctx, ""); err != nil {
 		c.sendError(err)
 	}
+	return c.serve(ctx, ops, readErr)
+}
+
+// serve is run's loop. A queued op goes before a pending push: the
+// op's frame renders the newest pinned snapshot, so it shows whatever
+// the push would have, and the push is then dropped as covered. Only
+// an idle client renders pushes, each announced by its gens message.
+func (c *client) serve(ctx context.Context, ops <-chan ClientOp, readErr <-chan error) error {
 	for {
+		select {
+		case op := <-ops:
+			c.handleOp(ctx, op)
+			continue
+		default:
+		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -65,6 +80,9 @@ func (c *client) run(ctx context.Context) error {
 		case op := <-ops:
 			c.handleOp(ctx, op)
 		case msg := <-c.dirty:
+			if msg.Snap <= c.shown {
+				continue // a frame at or past msg.Snap already went out
+			}
 			if err := c.sendJSON(msg); err != nil {
 				return err
 			}
@@ -195,7 +213,9 @@ func (c *client) renderLocked(ctx context.Context, token string) (*frame, error)
 	if err := img.WritePNG(&buf); err != nil {
 		return nil, err
 	}
+	encodeNS := time.Since(start) - renderNS
 	c.frameSeq++
+	c.shown = snap.Seq()
 	meta := FrameMeta{
 		Type:     "frame",
 		Seq:      c.frameSeq,
@@ -206,6 +226,7 @@ func (c *client) renderLocked(ctx context.Context, token string) (*frame, error)
 		Gens:     snap.Generations(),
 		Snap:     snap.Seq(),
 		RenderNS: renderNS.Nanoseconds(),
+		EncodeNS: encodeNS.Nanoseconds(),
 		PNGBytes: buf.Len(),
 	}
 	if tc != nil {
@@ -213,7 +234,7 @@ func (c *client) renderLocked(ctx context.Context, token string) (*frame, error)
 	}
 	obs.Inc(obs.ServerFrames)
 	obs.Add(obs.ServerFrameBytes, int64(buf.Len()))
-	obs.Observe(obs.ServerFrameNS, renderNS)
+	obs.Observe(obs.ServerFrameNS, renderNS+encodeNS)
 	return &frame{meta: meta, png: buf.Bytes()}, nil
 }
 

@@ -59,21 +59,26 @@ func TestUpdateOpCommitsAndPushes(t *testing.T) {
 // wire as an ErrorMsg with Code "stale" — never a silent clobber. The
 // race is made deterministic by holding the session write lock, which
 // stalls the pump's snapshot advance while the direct write commits.
+// The lock is taken only once the initial frame is in: the client's
+// first render holds the read lock, and a run loop stuck behind it
+// would never read the update op.
 func TestUpdateOpStaleCodeOnWire(t *testing.T) {
 	srv, database, addr := newTestServer(t, 8, 6, 1)
 	c := attachClient(t, addr, 200, 150)
 	sess, _ := srv.Session("weather")
+	c.waitFor(10*time.Second, "initial frame", func() bool { return len(c.frames) > 0 })
 
-	sess.mu.Lock()
-	if err := database.UpdateTuple("Stations", 0, "altitude", types.NewFloat(1)); err != nil {
-		sess.mu.Unlock()
-		t.Fatal(err)
-	}
-	// The pinned snapshot cannot advance (ApplyEvents blocks on mu), so
-	// this update validates against a stale generation and must lose.
-	c.send(ClientOp{Op: "update", Table: "Stations", Row: 0, Col: "altitude", Input: "2", Token: "s1"})
-	c.waitFor(10*time.Second, "stale error", func() bool { return len(c.errMsgs) > 0 })
-	sess.mu.Unlock()
+	func() {
+		sess.mu.Lock()
+		defer sess.mu.Unlock() // also on t.Fatal, so cleanup can stop the pump
+		if err := database.UpdateTuple("Stations", 0, "altitude", types.NewFloat(1)); err != nil {
+			t.Fatal(err)
+		}
+		// The pinned snapshot cannot advance (ApplyEvents blocks on mu), so
+		// this update validates against a stale generation and must lose.
+		c.send(ClientOp{Op: "update", Table: "Stations", Row: 0, Col: "altitude", Input: "2", Token: "s1"})
+		c.waitFor(10*time.Second, "stale error", func() bool { return len(c.errMsgs) > 0 })
+	}()
 
 	e := c.errMsgs[0]
 	if e.Code != ErrorCodeStale || !strings.Contains(e.Error, "stale") {

@@ -74,15 +74,19 @@ type FrameMeta struct {
 	W        int              `json:"w"`
 	H        int              `json:"h"`
 	Viewport Viewport         `json:"viewport"`
-	Gens     map[string]int64 `json:"gens"` // generation vector the frame was rendered against
-	Snap     uint64           `json:"snap"` // db commit sequence of that snapshot
-	RenderNS int64            `json:"render_ns"`
+	Gens     map[string]int64 `json:"gens"`      // generation vector the frame was rendered against
+	Snap     uint64           `json:"snap"`      // db commit sequence of that snapshot
+	RenderNS int64            `json:"render_ns"` // viewer render, before PNG encode
+	EncodeNS int64            `json:"encode_ns"` // PNG encode of the rendered image
 	TraceID  uint64           `json:"trace_id,omitempty"`
 	PNGBytes int              `json:"png_bytes"`
 }
 
 // GensMsg announces that the session advanced to a new snapshot; a
-// fresh frame for the client's current viewport follows.
+// fresh frame for the client's current viewport follows. It precedes
+// pushed frames only: a client with an op queued gets that op's frame,
+// already rendered at the new snapshot, and no gens message or push
+// for it.
 type GensMsg struct {
 	Type string           `json:"type"` // "gens"
 	Gens map[string]int64 `json:"gens"`

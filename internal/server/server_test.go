@@ -1,10 +1,12 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -267,5 +269,65 @@ func TestAttachUnknownSessionRefused(t *testing.T) {
 	_, _, addr := newTestServer(t, 8, 6, 1)
 	if _, err := Dial("ws://" + addr + "/ws?session=nope"); err == nil {
 		t.Fatal("dial to unknown session succeeded")
+	}
+}
+
+// An op queued beside a pending push is served first, by a frame at the
+// pushed snapshot or later, and the push it covers is dropped: no gens
+// message and no extra frame. The client loop is driven directly with
+// the op and the push both queued before it starts, so the interleaving
+// is fixed rather than left to the scheduler.
+func TestQueuedOpCoversPendingPush(t *testing.T) {
+	srv, database, _ := newTestServer(t, 8, 6, 1)
+	sess, _ := srv.Session("weather")
+	if err := database.UpdateTuple("Stations", 0, "altitude", types.NewFloat(999)); err != nil {
+		t.Fatal(err)
+	}
+	want := database.Snapshot().Seq()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, seq := sess.Generations(); seq >= want {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session never applied commit %d", want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	gens, seq := sess.Generations()
+
+	ops := make(chan ClientOp, 2)
+	ops <- ClientOp{Op: "render", Token: "q"}
+	ctx, cancel := context.WithCancel(context.Background())
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ws, err := Upgrade(w, r)
+		if err != nil {
+			return
+		}
+		defer ws.Close()
+		c := sess.attach(ctx, ws, 200, 150)
+		defer sess.detach(c)
+		c.invalidate(GensMsg{Type: "gens", Gens: gens, Snap: seq})
+		_ = c.serve(ctx, ops, make(chan error))
+	}))
+	defer hs.Close()
+	defer cancel()
+	ws, err := Dial(wsURL(hs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	c := &testClient{t: t, ws: ws}
+
+	if !c.readOne(10*time.Second) || len(c.frames) != 1 {
+		t.Fatalf("first message is not a frame: frames=%d gens=%d errs=%v", len(c.frames), len(c.gens), c.errs)
+	}
+	if f := c.frames[0].meta; f.Token != "q" || f.Snap < want {
+		t.Fatalf("first frame token %q at snap %d, want the op's frame at snap >= %d", f.Token, f.Snap, want)
+	}
+	// The next message answers the next op: the covered push never went out.
+	ops <- ClientOp{Op: "render", Token: "r"}
+	if !c.readOne(10*time.Second) || len(c.frames) != 2 || c.frames[1].meta.Token != "r" || len(c.gens) != 0 {
+		t.Fatalf("covered push was sent: frames=%d gens=%d", len(c.frames), len(c.gens))
 	}
 }

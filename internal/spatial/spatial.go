@@ -14,7 +14,7 @@ package spatial
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -125,7 +125,6 @@ func (g *Grid) Query(r geom.Rect, buf []int32) []int32 {
 			}
 		}
 	}
-	out := buf[start:]
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(buf[start:])
 	return buf
 }

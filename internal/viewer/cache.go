@@ -1,7 +1,6 @@
 package viewer
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"strings"
@@ -17,17 +16,19 @@ import (
 // display.Gen generation stamps (see internal/rel and internal/display):
 // a stamp changes whenever the underlying relation or the Extended's
 // metadata mutates, so staleness never has to be guessed — an entry under
-// an old Gen can simply never be looked up again, and bounded LRU
-// eviction reclaims it. Renders are single-threaded outside the display
-// evaluation fan-out (which touches none of these), so the caches need no
-// locking; RenderInto is not safe for concurrent use on one Viewer, as
-// before.
+// an old Gen can simply never be looked up again. The display memo retires
+// a generation's table once a frame passes without drawing it; the grid
+// and wormhole caches reclaim old entries by bounded LRU. Renders are
+// single-threaded outside the display evaluation fan-out (which touches
+// none of these), so the caches need no locking; RenderInto is not safe
+// for concurrent use on one Viewer, as before.
 
 // Default capacities and thresholds, overridable per viewer.
 const (
-	// defaultMemoCap bounds the display-list memo: at ~a few drawables
-	// per list this is a few MB worst case, enough to hold several
-	// screenfuls of pan history.
+	// defaultMemoCap bounds the entries the display-list memo holds
+	// across its generation tables: at ~a few drawables per list this is
+	// a few MB worst case, room for every row of a large layer in both
+	// the current and the previous generation.
 	defaultMemoCap = 1 << 16
 	// defaultSpatialThreshold is the relation size below which pass-1
 	// culling stays a linear scan: building and probing a grid only pays
@@ -49,8 +50,9 @@ type CacheStats struct {
 	SpatialEvictions int64
 	MemoHits         int64 // display lists served from the memo
 	MemoMisses       int64 // display functions actually evaluated
-	MemoEvictions    int64
+	MemoEvictions    int64 // entries dropped by retirement or the cap
 	MemoEntries      int   // current memo size
+	MemoTables       int   // generation tables currently held
 	WormholeHits     int64 // interiors blitted from cache
 	WormholeRenders  int64 // interiors rendered
 	WormholeStale    int64 // cached interiors retired by a generation change
@@ -66,8 +68,8 @@ func (s CacheStats) String() string {
 		return fmt.Sprintf("%.0f%%", 100*float64(hit)/float64(hit+miss))
 	}
 	return fmt.Sprintf(
-		"memo %s hit (%d/%d, %d entries, %d evicted) · spatial %d builds %d queries · wormhole %s hit (%d stale, %d entries)",
-		rate(s.MemoHits, s.MemoMisses), s.MemoHits, s.MemoHits+s.MemoMisses, s.MemoEntries, s.MemoEvictions,
+		"memo %s hit (%d/%d, %d entries in %d tables, %d evicted) · spatial %d builds %d queries · wormhole %s hit (%d stale, %d entries)",
+		rate(s.MemoHits, s.MemoMisses), s.MemoHits, s.MemoHits+s.MemoMisses, s.MemoEntries, s.MemoTables, s.MemoEvictions,
 		s.SpatialBuilds, s.SpatialQueries,
 		rate(s.WormholeHits, s.WormholeRenders), s.WormholeStale, s.WormholeEntries)
 }
@@ -77,6 +79,7 @@ func (v *Viewer) CacheStats() CacheStats {
 	s := v.cacheStats
 	if v.memo != nil {
 		s.MemoEntries = v.memo.len()
+		s.MemoTables = len(v.memo.tables)
 	}
 	s.WormholeEntries = len(v.whCache)
 	return s
@@ -93,67 +96,135 @@ func (v *Viewer) InvalidateCaches() {
 
 // --- display-list memo --------------------------------------------------
 
-// memoKey addresses one tuple's evaluated display list: display functions
-// are pure reads over the relation (the same purity that justifies the
-// parallel fan-out of evalDisplays), so (generation, row) fully
-// determines the result — including the error result, which is memoized
-// too so a broken display function does not re-fire every frame.
-type memoKey struct {
-	gen display.Gen
-	row int
-}
+// The memo holds one row-indexed table per layer generation. Display
+// functions are pure reads over the relation (the same purity that
+// justifies the parallel fan-out of evalDisplays), so (generation, row)
+// fully determines the result — including the error result, which is
+// memoized too so a broken display function does not re-fire every frame.
+// A lookup is a slice index; pages of memoPageRows slots are allocated on
+// first touch, so memory follows the rows actually drawn. Generations are
+// unique and never recur, so a table not drawn in the current or the
+// previous frame can never be hit again: renderFrame retires it.
 
-type memoEntry struct {
-	key  memoKey
-	list draw.List // nil marks a memoized failure
+const (
+	memoPageShift = 6
+	memoPageRows  = 1 << memoPageShift
+	memoPageMask  = memoPageRows - 1
+)
+
+// memoSlot is one row's realized display list. A success is a non-nil
+// list (possibly empty); a memoized failure is a nil list with its cause
+// in err; the zero slot has not been evaluated.
+type memoSlot struct {
+	list draw.List
 	err  error
 }
 
-// displayMemo is a bounded LRU map from memoKey to evaluated display
-// lists.
+func (s *memoSlot) filled() bool { return s.list != nil || s.err != nil }
+
+// memoTable is one generation's display lists, indexed by row.
+type memoTable struct {
+	pages   [][]memoSlot // nil until a row in the page is stored
+	entries int
+	drawn   int64 // frame that last looked the table up
+}
+
+// slot returns row's slot, or nil when its page was never touched.
+func (t *memoTable) slot(row int) *memoSlot {
+	p := row >> memoPageShift
+	if p >= len(t.pages) || t.pages[p] == nil {
+		return nil
+	}
+	return &t.pages[p][row&memoPageMask]
+}
+
+// displayMemo maps each layer generation to its table. cap bounds the
+// entries held across all tables.
 type displayMemo struct {
-	cap   int
-	m     map[memoKey]*list.Element
-	order *list.List // front = most recently used
+	cap     int
+	tables  map[display.Gen]*memoTable
+	entries int
 }
 
 func newDisplayMemo(capacity int) *displayMemo {
-	return &displayMemo{cap: capacity, m: make(map[memoKey]*list.Element), order: list.New()}
+	return &displayMemo{cap: capacity, tables: make(map[display.Gen]*memoTable)}
 }
 
-func (c *displayMemo) len() int { return len(c.m) }
+func (m *displayMemo) len() int { return m.entries }
 
-func (c *displayMemo) get(k memoKey) (draw.List, error, bool) {
-	el, ok := c.m[k]
+// table returns gen's table for a relation of n rows, creating it empty,
+// and marks it drawn in frame.
+func (m *displayMemo) table(gen display.Gen, n int, frame int64) *memoTable {
+	t, ok := m.tables[gen]
 	if !ok {
-		return nil, nil, false
+		t = &memoTable{pages: make([][]memoSlot, (n+memoPageMask)>>memoPageShift)}
+		m.tables[gen] = t
 	}
-	c.order.MoveToFront(el)
-	e := el.Value.(*memoEntry)
-	return e.list, e.err, true
+	t.drawn = frame
+	return t
 }
 
-// put inserts an entry, evicting the least recently used beyond capacity,
-// and reports how many entries were evicted.
-func (c *displayMemo) put(k memoKey, l draw.List, err error) int {
-	if el, ok := c.m[k]; ok {
-		c.order.MoveToFront(el)
-		e := el.Value.(*memoEntry)
-		e.list, e.err = l, err
-		return 0
+// retire drops every table not drawn in frame or the frame before it,
+// and reports how many entries went with them.
+func (m *displayMemo) retire(frame int64) int {
+	dropped := 0
+	for gen, t := range m.tables {
+		if t.drawn < frame-1 {
+			dropped += t.entries
+			m.entries -= t.entries
+			delete(m.tables, gen)
+		}
 	}
-	c.m[k] = c.order.PushFront(&memoEntry{key: k, list: l, err: err})
+	return dropped
+}
+
+// put stores the result for a row t does not hold yet (a miss) and
+// reports how many entries were evicted to keep the memo within cap.
+func (m *displayMemo) put(t *memoTable, row int, l draw.List, err error) int {
+	evicted := m.makeRoom(t)
+	p := row >> memoPageShift
+	if p >= len(t.pages) {
+		t.pages = append(t.pages, make([][]memoSlot, p+1-len(t.pages))...)
+	}
+	if t.pages[p] == nil {
+		t.pages[p] = make([]memoSlot, memoPageRows)
+	}
+	t.pages[p][row&memoPageMask] = memoSlot{list: l, err: err}
+	t.entries++
+	m.entries++
+	return evicted
+}
+
+// makeRoom evicts until one more entry fits under cap: whole tables
+// least recently drawn go first, and t itself is cleared only when no
+// other table is left. It reports the entries dropped.
+func (m *displayMemo) makeRoom(t *memoTable) int {
 	evicted := 0
-	for len(c.m) > c.cap {
-		back := c.order.Back()
-		if back == nil {
+	for m.entries >= m.cap {
+		victim, victimGen := t, display.Gen{}
+		for gen, o := range m.tables {
+			if o != t && (victim == t || o.drawn < victim.drawn) {
+				victim, victimGen = o, gen
+			}
+		}
+		evicted += victim.entries
+		m.entries -= victim.entries
+		if victim == t {
+			clear(t.pages)
+			t.entries = 0
 			break
 		}
-		c.order.Remove(back)
-		delete(c.m, back.Value.(*memoEntry).key)
-		evicted++
+		delete(m.tables, victimGen)
 	}
 	return evicted
+}
+
+// noteMemoEvictions counts display-memo entries dropped.
+func (v *Viewer) noteMemoEvictions(n int) {
+	if n > 0 {
+		v.cacheStats.MemoEvictions += int64(n)
+		obs.Add(obs.RenderMemoEvictions, int64(n))
+	}
 }
 
 // memoCap resolves the viewer's memo capacity.

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/db"
 	"repro/internal/display"
 	"repro/internal/draw"
 	"repro/internal/expr"
@@ -421,5 +422,100 @@ func TestCacheStatsString(t *testing.T) {
 	s.MemoHits, s.MemoMisses = 3, 1
 	if got := s.String(); got == "" {
 		t.Fatal("empty stats string")
+	}
+}
+
+// TestMemoAcrossWriteGenerations renders a canvas after each of a run of
+// database writes (UpdateTuple and AppendTuple, each a new generation),
+// with and without the display memo. Every frame must match byte for
+// byte, and the memo must hold only the tables of the generations drawn
+// in the current and the previous frame.
+func TestMemoAcrossWriteGenerations(t *testing.T) {
+	database := db.New()
+	if err := database.CreateTable(gridRel(t, 3000)); err != nil {
+		t.Fatal(err)
+	}
+	displays := []display.NamedDisplay{{
+		Name: "display",
+		Fn: func(env expr.Env) (draw.List, error) {
+			z, _ := env.AttrValue("z")
+			return draw.List{
+				draw.Circle{R: 0.4, Color: draw.Black, Style: draw.FillStyle},
+				draw.Text{S: z.String(), Size: 0.5, Color: draw.Blue},
+			}, nil
+		},
+	}}
+	ext := func() *display.Extended {
+		r, err := database.Table("Grid")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := display.NewExtended("grid", r, []string{"px", "py"}, displays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	on := New("on", DirectSource{D: ext()}, 120, 120)
+	off := New("off", DirectSource{D: ext()}, 120, 120)
+	off.DisableDisplayMemo = true
+	for _, v := range []*Viewer{on, off} {
+		if err := v.SetElevation(0, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var prevGen display.Gen
+	frame := func(e *display.Extended, x float64) {
+		t.Helper()
+		var imgs [2][]byte
+		for i, v := range []*Viewer{on, off} {
+			v.Source = DirectSource{D: e}
+			if err := v.PanTo(0, x, x); err != nil {
+				t.Fatal(err)
+			}
+			img, _, err := v.Render()
+			if err != nil {
+				t.Fatal(err)
+			}
+			imgs[i] = pngBytes(t, img)
+		}
+		if !bytes.Equal(imgs[0], imgs[1]) {
+			t.Fatalf("memo-on frame at %v differs from memo-off frame", x)
+		}
+		want := 1
+		if gen := e.Generation(); prevGen != (display.Gen{}) && gen != prevGen {
+			want = 2
+		}
+		prevGen = e.Generation()
+		if s := on.CacheStats(); s.MemoTables != want {
+			t.Fatalf("memo holds %d tables, want %d (the last two frames' generations)", s.MemoTables, want)
+		}
+	}
+
+	frame(ext(), 1500)
+	const generations = 12
+	for g := 0; g < generations; g++ {
+		var err error
+		if g%3 == 2 {
+			err = database.AppendTuple("Grid", []types.Value{
+				types.NewInt(int64(3000 + g)), types.NewFloat(1500.5 + float64(g)), types.NewFloat(1500.5),
+				types.NewFloat(-1), types.NewText("new"),
+			})
+		} else {
+			err = database.UpdateTuple("Grid", 1498+g, "z", types.NewFloat(float64(-g)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A frame at the new generation, then a pan within it that hits
+		// the rows the first frame memoized.
+		e := ext()
+		frame(e, 1500)
+		frame(e, 1502)
+	}
+	s := on.CacheStats()
+	if s.MemoHits == 0 || s.MemoEvictions == 0 {
+		t.Fatalf("memo never hit or never retired a generation: %+v", s)
 	}
 }

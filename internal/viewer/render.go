@@ -137,11 +137,16 @@ func (v *Viewer) renderFrame(ctx context.Context, img *raster.Image) (RenderStat
 	g := display.Promote(d)
 	v.ensureStates(g)
 	v.hits = v.hits[:0]
-	// frame drives LRU recency in the cross-frame caches. The caches
-	// themselves survive between frames: generation stamps, not frame
+	// frame drives LRU recency in the grid and wormhole caches and the
+	// display memo's retention: a generation table not drawn in the
+	// previous frame can never be hit again, so it goes now. The caches
+	// otherwise survive between frames: generation stamps, not frame
 	// boundaries, decide staleness (DESIGN.md, "Render caching &
 	// invalidation").
 	v.frame++
+	if v.memo != nil {
+		v.noteMemoEvictions(v.memo.retire(v.frame))
+	}
 
 	pen := raster.NewPen(img)
 	rects := memberRects(g, geom.R(0, 0, float64(v.W), float64(v.H)))
@@ -342,6 +347,7 @@ func (v *Viewer) renderMember(ctx context.Context, pen *raster.Pen, rect geom.Re
 		lists := make([]draw.List, len(rows))
 		errs := make([]error, len(rows))
 		miss := sc.parts[:0]
+		var tab *memoTable
 		if v.DisableDisplayMemo {
 			for i := range rows {
 				miss = append(miss, i)
@@ -350,9 +356,10 @@ func (v *Viewer) renderMember(ctx context.Context, pen *raster.Pen, rect geom.Re
 			if v.memo == nil {
 				v.memo = newDisplayMemo(v.memoCap())
 			}
+			tab = v.memo.table(gen, n, v.frame)
 			for i, row := range rows {
-				if l, e, ok := v.memo.get(memoKey{gen: gen, row: row}); ok {
-					lists[i], errs[i] = l, e
+				if s := tab.slot(row); s != nil && s.filled() {
+					lists[i], errs[i] = s.list, s.err
 					stats.MemoHits++
 					v.cacheStats.MemoHits++
 				} else {
@@ -361,15 +368,14 @@ func (v *Viewer) renderMember(ctx context.Context, pen *raster.Pen, rect geom.Re
 			}
 		}
 		v.evalDisplays(ectx, ext, rows, miss, lists, errs)
-		if !v.DisableDisplayMemo {
+		if tab != nil {
 			stats.MemoMisses += len(miss)
 			v.cacheStats.MemoMisses += int64(len(miss))
+			evicted := 0
 			for _, i := range miss {
-				if ev := v.memo.put(memoKey{gen: gen, row: rows[i]}, lists[i], errs[i]); ev > 0 {
-					v.cacheStats.MemoEvictions += int64(ev)
-					obs.Add(obs.RenderMemoEvictions, int64(ev))
-				}
+				evicted += v.memo.put(tab, rows[i], lists[i], errs[i])
 			}
+			v.noteMemoEvictions(evicted)
 		}
 		sc.parts = miss
 		evalTimer.Stop()

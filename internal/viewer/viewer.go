@@ -211,8 +211,8 @@ type Viewer struct {
 	// SpatialThreshold is the relation size at which pass-1 culling
 	// switches from the linear scan to the grid index (0 = default).
 	SpatialThreshold int
-	// DisplayMemoCap bounds the display-list memo entry count
-	// (0 = default).
+	// DisplayMemoCap bounds the display lists the memo holds across all
+	// its generation tables (0 = default).
 	DisplayMemoCap int
 	// Parallel evaluates display functions across CPUs for large visible
 	// batches; painting stays serial so output is byte-identical.
@@ -239,7 +239,8 @@ type Viewer struct {
 
 	// Cross-frame render caches (see cache.go). All are keyed on
 	// display.Gen generation stamps, so they never serve stale state;
-	// frame is a monotonic render counter driving LRU recency, and
+	// frame is a monotonic render counter driving LRU recency and the
+	// display memo's retention of generation tables, and
 	// overrideStamp changes whenever the viewer-local elevation-map
 	// overrides do (they affect wormhole interiors rendered *from* this
 	// viewer as a destination).
