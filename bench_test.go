@@ -8,6 +8,7 @@ package tioga
 // measured numbers next to the paper's qualitative claims.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -116,6 +117,7 @@ func BenchmarkFigure2ProgramOps(b *testing.B) {
 }
 
 func BenchmarkFigure3DatabaseOps(b *testing.B) {
+	ctx := context.Background()
 	// The database operations of Figure 3 as one cold pipeline: Add Table
 	// -> Restrict -> Join -> Sample -> Project.
 	env := benchEnv(b)
@@ -133,7 +135,7 @@ func BenchmarkFigure3DatabaseOps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.Eval.InvalidateAll()
-		if _, err := env.Eval.Demand(pj.ID, 0); err != nil {
+		if _, err := env.Eval.Eval(ctx, dataflow.Request{Box: pj.ID}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,6 +151,7 @@ func BenchmarkFigure4StationMap(b *testing.B) {
 }
 
 func BenchmarkFigure5AttributeOps(b *testing.B) {
+	ctx := context.Background()
 	// The Figure 5 pipeline: add, set, scale, translate, swap attributes
 	// and combine displays, evaluated cold.
 	env := benchEnv(b)
@@ -167,7 +170,7 @@ func BenchmarkFigure5AttributeOps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.Eval.InvalidateAll()
-		if _, err := env.Eval.Demand(sw.ID, 0); err != nil {
+		if _, err := env.Eval.Eval(ctx, dataflow.Request{Box: sw.ID}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -285,6 +288,7 @@ func BenchmarkUpdatePath(b *testing.B) {
 // demands one. Eager evaluation (the original Tioga's compile-and-run
 // model) pays for all branches.
 func BenchmarkLazyVsEagerEvaluation(b *testing.B) {
+	ctx := context.Background()
 	build := func(b *testing.B) (*core.Environment, int) {
 		env := benchEnv(b)
 		demandID := 0
@@ -305,7 +309,7 @@ func BenchmarkLazyVsEagerEvaluation(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			env.Eval.InvalidateAll()
-			if _, err := env.Eval.Demand(id, 0); err != nil {
+			if _, err := env.Eval.Eval(ctx, dataflow.Request{Box: id}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -481,6 +485,7 @@ func figureStationChain(env *core.Environment, lo, hi string) (int, error) {
 // programming with immediate feedback): after editing one Restrict
 // predicate only the affected suffix re-fires, versus a cold rebuild.
 func BenchmarkIncrementalEdit(b *testing.B) {
+	ctx := context.Background()
 	build := func(b *testing.B) (*core.Environment, int, int) {
 		env := benchEnv(b)
 		tb, _ := env.AddTable("Observations")
@@ -496,7 +501,7 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 	}
 	b.Run("EditPredicate", func(b *testing.B) {
 		env, editID, demandID := build(b)
-		if _, err := env.Eval.Demand(demandID, 0); err != nil {
+		if _, err := env.Eval.Eval(ctx, dataflow.Request{Box: demandID}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -505,7 +510,7 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 			if err := env.Program.SetParams(editID, dataflow.Params{"pred": pred}); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := env.Eval.Demand(demandID, 0); err != nil {
+			if _, err := env.Eval.Eval(ctx, dataflow.Request{Box: demandID}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -519,7 +524,7 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 				b.Fatal(err)
 			}
 			env.Eval.InvalidateAll()
-			if _, err := env.Eval.Demand(demandID, 0); err != nil {
+			if _, err := env.Eval.Eval(ctx, dataflow.Request{Box: demandID}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -538,14 +543,14 @@ func BenchmarkJoinHashVsNestedLoop(b *testing.B) {
 		pred := expr.MustParse("id = station_id")
 		b.Run(fmt.Sprintf("Hash/stations=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := rel.Join(st, obs, pred, rel.JoinHash); err != nil {
+				if _, err := rel.Join(st, obs, pred, rel.JoinHash, rel.Exec{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("NestedLoop/stations=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := rel.Join(st, obs, pred, rel.JoinNestedLoop); err != nil {
+				if _, err := rel.Join(st, obs, pred, rel.JoinNestedLoop, rel.Exec{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -564,14 +569,14 @@ func BenchmarkIndexedRestrict(b *testing.B) {
 	pred := expr.MustParse("state = 'LA'")
 	b.Run("Scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rel.Restrict(st, pred); err != nil {
+			if _, err := rel.Restrict(st, pred, rel.Exec{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rel.Restrict(indexed, pred); err != nil {
+			if _, err := rel.Restrict(indexed, pred, rel.Exec{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -704,17 +709,9 @@ func BenchmarkParallelDisplayEval(b *testing.B) {
 // queryEngineModes runs fn twice as sub-benchmarks: under the full query
 // fast path (compiled closures, materialized computed attributes) and
 // under the ablated baseline (tree-walking interpreter, serial scans).
-func queryEngineModes(b *testing.B, fn func(b *testing.B)) {
-	b.Run("compiled", fn)
-	b.Run("interpreted", func(b *testing.B) {
-		prevC := rel.SetCompileDisabled(true)
-		prevW := rel.SetScanWorkers(1)
-		defer func() {
-			rel.SetCompileDisabled(prevC)
-			rel.SetScanWorkers(prevW)
-		}()
-		fn(b)
-	})
+func queryEngineModes(b *testing.B, fn func(b *testing.B, x rel.Exec)) {
+	b.Run("compiled", func(b *testing.B) { fn(b, rel.Exec{}) })
+	b.Run("interpreted", func(b *testing.B) { fn(b, rel.Exec{Path: rel.PathInterp, Workers: 1}) })
 }
 
 // benchQueryStations is a Stations relation with the computed attributes
@@ -733,9 +730,9 @@ func benchQueryStations(b *testing.B, rows int) *rel.Relation {
 func BenchmarkRestrictCompiledVsInterpreted(b *testing.B) {
 	st := benchQueryStations(b, 8000)
 	pred := expr.MustParse("score > 2.0 and dist2 < 4000.0 and score + dist2 * 0.25 < 9000.0")
-	queryEngineModes(b, func(b *testing.B) {
+	queryEngineModes(b, func(b *testing.B, x rel.Exec) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rel.Restrict(st, pred); err != nil {
+			if _, err := rel.Restrict(st, pred, x); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -745,9 +742,9 @@ func BenchmarkRestrictCompiledVsInterpreted(b *testing.B) {
 func BenchmarkMapColumnCompiledVsInterpreted(b *testing.B) {
 	st := benchQueryStations(b, 8000)
 	def := expr.MustParse("score * 2.0 + dist2 / 10.0 + altitude")
-	queryEngineModes(b, func(b *testing.B) {
+	queryEngineModes(b, func(b *testing.B, x rel.Exec) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rel.MapColumn(st, "altitude", def); err != nil {
+			if _, err := rel.MapColumn(st, "altitude", def, x); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -763,9 +760,9 @@ func BenchmarkJoinCompiledVsInterpreted(b *testing.B) {
 	}
 	mustB(b, obsRel.AddComputed("degf", expr.MustParse("temperature * 1.8 + 32.0")))
 	pred := expr.MustParse("id = station_id and degf > 60.0 and degf < 110.0 and precipitation * 25.4 < elev_adj * 100.0 + degf - 30.0")
-	queryEngineModes(b, func(b *testing.B) {
+	queryEngineModes(b, func(b *testing.B, x rel.Exec) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rel.Join(st, obsRel, pred, rel.JoinHash); err != nil {
+			if _, err := rel.Join(st, obsRel, pred, rel.JoinHash, x); err != nil {
 				b.Fatal(err)
 			}
 		}

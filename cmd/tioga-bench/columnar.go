@@ -95,8 +95,8 @@ func columnarDim(st *rel.Relation) *rel.Relation {
 // runColumnarBench times the columnar_scan workload: a restrict with an
 // arithmetic-heavy predicate over computed attributes, feeding a hash
 // join against a small dimension table. Both legs run the compiled
-// engine; the ablation is SetColumnarDisabled, so the delta isolates the
-// chunk kernels from expression compilation (which both legs keep).
+// engine; the ablation is rel.PathRow, so the delta isolates the chunk
+// kernels from expression compilation (which both legs keep).
 func runColumnarBench(out string, quick, verbose bool) error {
 	rows := 100000
 	if quick {
@@ -117,12 +117,15 @@ func runColumnarBench(out string, quick, verbose bool) error {
 			"(longitude + 92.0) * (latitude - 31.0) + altitude * 0.01 < 4000.0")
 	joinPred := expr.MustParse("state = st and score + weight * 10.0 < 8000.0")
 
-	pipeline := func(base *rel.Relation) (*rel.Relation, error) {
-		res, err := rel.Restrict(base, pred)
+	run := func(base *rel.Relation, x rel.Exec) (*rel.Relation, error) {
+		res, err := rel.Restrict(base, pred, x)
 		if err != nil {
 			return nil, err
 		}
-		return rel.Join(res, dim, joinPred, rel.JoinHash)
+		return rel.Join(res, dim, joinPred, rel.JoinHash, x)
+	}
+	pipeline := func(base *rel.Relation) (*rel.Relation, error) {
+		return run(base, rel.Exec{})
 	}
 	stamp := func(j *rel.Relation) string {
 		var sb strings.Builder
@@ -134,9 +137,7 @@ func runColumnarBench(out string, quick, verbose bool) error {
 	}
 
 	rowMajor := func(base *rel.Relation) (*rel.Relation, error) {
-		prev := rel.SetColumnarDisabled(true)
-		defer rel.SetColumnarDisabled(prev)
-		return pipeline(base)
+		return run(base, rel.Exec{Path: rel.PathRow})
 	}
 
 	// Output identity before any timing: the speedup is vacuous if the

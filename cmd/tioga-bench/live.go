@@ -47,8 +47,8 @@ type liveLegResult struct {
 
 // runLiveLeg plays the streaming scenario once. Both legs seed the same
 // database, build the same program, and append the same tuples (the
-// write RNG is fixed), differing only in whether EnqueueTableDelta
-// applies deltas or degrades to Touch. The environment is detached —
+// write RNG is fixed), differing only in whether a frame enqueues the
+// deltas or touches the table (full refire). The environment is detached —
 // the synchronous Watch wiring of single-user sessions would Touch the
 // table box on every write and defeat delta propagation, exactly as in
 // the multi-client server, whose event-pump path this leg mirrors.
@@ -86,9 +86,6 @@ func runLiveLeg(rows, perStation, appendsPerFrame, frames int, deltaOn, withCoun
 
 	ch, cancel := d.Subscribe()
 	defer cancel()
-	prev := dataflow.SetDeltaDisabled(!deltaOn)
-	defer dataflow.SetDeltaDisabled(prev)
-
 	ctx := context.Background()
 	demand := func() (dataflow.Value, error) {
 		res, err := env.Eval.Eval(ctx, dataflow.Request{Box: jb.ID, Port: 0})
@@ -137,7 +134,11 @@ func runLiveLeg(rows, perStation, appendsPerFrame, frames int, deltaOn, withCoun
 		// dominate the mean and destabilize the gated ratio.
 		runtime.GC()
 		start := time.Now()
-		env.Eval.EnqueueTableDelta("Observations", deltas)
+		if deltaOn {
+			env.Eval.EnqueueTableDelta("Observations", deltas)
+		} else {
+			env.TouchTable("Observations")
+		}
 		if _, err := demand(); err != nil {
 			return 0, err
 		}

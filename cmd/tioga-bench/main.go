@@ -315,12 +315,13 @@ func setupLazyDemand() (func() error, error) {
 	if err := env.Connect(rb.ID, 0, pb.ID, 0); err != nil {
 		return nil, err
 	}
+	req := dataflow.Request{Box: pb.ID}
 	return func() error {
 		env.Eval.InvalidateAll()
-		if _, err := env.Eval.Demand(pb.ID, 0); err != nil {
+		if _, err := env.Eval.Eval(context.Background(), req); err != nil {
 			return err
 		}
-		_, err := env.Eval.Demand(pb.ID, 0) // memo hit
+		_, err := env.Eval.Eval(context.Background(), req) // memo hit
 		return err
 	}, nil
 }
@@ -893,13 +894,13 @@ func runQueryBench(out string, quick, verbose bool) error {
 	joinPred := expr.MustParse("id = station_id and degf > 60.0 and degf < 110.0 and precipitation * 25.4 < elev_adj * 100.0 + degf - 30.0 and degf * 0.5 + elev_adj * 2.0 < 300.0")
 
 	ctx := context.Background()
-	iterate := func(opts ...dataflow.EvalOption) (dataflow.Value, *rel.Relation, error) {
+	iterate := func(x rel.Exec, opts ...dataflow.EvalOption) (dataflow.Value, *rel.Relation, error) {
 		env.Eval.InvalidateAll()
 		res, err := env.Eval.Eval(ctx, dataflow.Request{Box: tail, Port: 0}, opts...)
 		if err != nil {
 			return nil, nil, err
 		}
-		j, err := rel.Join(st, obsRel, joinPred, rel.JoinHash)
+		j, err := rel.Join(st, obsRel, joinPred, rel.JoinHash, x)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -911,16 +912,11 @@ func runQueryBench(out string, quick, verbose bool) error {
 	// instead of fused scans, one scan worker instead of chunking.
 	workers := runtime.GOMAXPROCS(0)
 	baseline := func() (dataflow.Value, *rel.Relation, error) {
-		prevC := rel.SetCompileDisabled(true)
-		prevW := rel.SetScanWorkers(1)
-		defer func() {
-			rel.SetCompileDisabled(prevC)
-			rel.SetScanWorkers(prevW)
-		}()
-		return iterate(dataflow.WithoutFusion(), dataflow.Serial())
+		return iterate(rel.Exec{Path: rel.PathInterp, Workers: 1},
+			dataflow.WithPath(rel.PathInterp), dataflow.WithoutFusion(), dataflow.Serial())
 	}
 	fast := func() (dataflow.Value, *rel.Relation, error) {
-		return iterate(dataflow.Serial()) // scan chunking parallelizes inside the firing
+		return iterate(rel.Exec{}, dataflow.Serial())
 	}
 
 	// Output identity first (fingerprinting happens here, outside the
@@ -1058,7 +1054,7 @@ func setupJoinHash() (func() error, error) {
 	}
 	pred := expr.MustParse("id = station_id")
 	return func() error {
-		_, err := rel.Join(st, obsRel, pred, rel.JoinHash)
+		_, err := rel.Join(st, obsRel, pred, rel.JoinHash, rel.Exec{})
 		return err
 	}, nil
 }

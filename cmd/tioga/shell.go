@@ -17,7 +17,6 @@ import (
 	"repro/internal/display"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/rel"
 	"repro/internal/viewer"
 )
 
@@ -927,9 +926,6 @@ func (s *shell) stats() error {
 		}
 		s.printf("canvas %-10s %s\n", name, v.CacheStats())
 	}
-	s.printf("query engine: compile=%s fusion=%s scan_workers=%d threshold=%d\n",
-		onOff(!rel.CompileDisabled()), onOff(!dataflow.FusionDisabled()),
-		rel.ScanWorkers(), rel.ScanThreshold())
 	snap := obs.TakeSnapshot()
 	names := make([]string, 0, len(snap.Counters))
 	for n := range snap.Counters {
@@ -965,14 +961,6 @@ func (s *shell) stats() error {
 		}
 	}
 	return nil
-}
-
-// onOff renders a boolean knob state.
-func onOff(on bool) string {
-	if on {
-		return "on"
-	}
-	return "off"
 }
 
 // formatNS renders a nanosecond latency with a human unit.

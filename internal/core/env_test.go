@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dataflow"
@@ -133,6 +134,7 @@ func TestProgramOpsFigure2(t *testing.T) {
 }
 
 func TestEncapsulateThroughEnvironment(t *testing.T) {
+	ctx := context.Background()
 	env := seededEnv(t)
 	tb, _ := env.AddTable("Stations")
 	rb, _ := env.AddBox("restrict", dataflow.Params{"pred": "state = 'LA'"})
@@ -167,10 +169,11 @@ func TestEncapsulateThroughEnvironment(t *testing.T) {
 	if err := env.Connect(tb2.ID, 0, inst.Inputs[0].Box, inst.Inputs[0].Port); err != nil {
 		t.Fatal(err)
 	}
-	v, err := env.Eval.Demand(inst.Outputs[0].Box, inst.Outputs[0].Port)
+	res, err := env.Eval.Eval(ctx, dataflow.Request{Box: inst.Outputs[0].Box, Port: inst.Outputs[0].Port})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	pt, err := dataflow.ValueType(v)
 	if err != nil || !pt.Equal(dataflow.RType) {
 		t.Fatalf("encapsulated output type %v %v", pt, err)
@@ -224,6 +227,7 @@ func TestViewerOnAnyEdge(t *testing.T) {
 }
 
 func TestLiftedOperationsFigure3(t *testing.T) {
+	ctx := context.Background()
 	// Section 2's overloading: a Restrict pointed at a composite.
 	env := seededEnv(t)
 	st, _ := env.AddTable("Stations")
@@ -239,10 +243,11 @@ func TestLiftedOperationsFigure3(t *testing.T) {
 	if err := env.Connect(ov.ID, 0, lift.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	v, err := env.Eval.Demand(lift.ID, 0)
+	res, err := env.Eval.Eval(ctx, dataflow.Request{Box: lift.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	pt, _ := dataflow.ValueType(v)
 	if !pt.Equal(dataflow.CType) {
 		t.Fatalf("lifted output type %v", pt)
@@ -302,6 +307,7 @@ func TestWarningsTaken(t *testing.T) {
 }
 
 func TestApplyToSelection(t *testing.T) {
+	ctx := context.Background()
 	env := seededEnv(t)
 	st, _ := env.AddTable("Stations")
 	mp, _ := env.AddTable("LouisianaMap")
@@ -326,10 +332,11 @@ func TestApplyToSelection(t *testing.T) {
 	if lifted.Kind != "liftc" {
 		t.Fatalf("composite apply inserted %q", lifted.Kind)
 	}
-	v, err := env.Eval.Demand(lifted.ID, 0)
+	res, err := env.Eval.Eval(ctx, dataflow.Request{Box: lifted.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	pt, _ := dataflow.ValueType(v)
 	if !pt.Equal(dataflow.CType) {
 		t.Fatalf("lifted output %v", pt)

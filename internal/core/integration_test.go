@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -71,6 +72,7 @@ func TestFullPersistenceRoundTrip(t *testing.T) {
 // legal operations (and undos) must never leave the program in a state
 // that fails typechecking or evaluation of its sinks.
 func TestRandomEditSequencesStayEvaluable(t *testing.T) {
+	ctx := context.Background()
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		env, err := NewSeededEnvironment(40, 6, seed)
@@ -139,7 +141,7 @@ func TestRandomEditSequencesStayEvaluable(t *testing.T) {
 			if !ready || len(b.Out) == 0 {
 				continue
 			}
-			if _, err := env.Eval.Demand(b.ID, 0); err != nil {
+			if _, err := env.Eval.Eval(ctx, dataflow.Request{Box: b.ID}); err != nil {
 				t.Fatalf("seed %d: box %d (%s) failed to evaluate: %v", seed, b.ID, b.Kind, err)
 			}
 		}

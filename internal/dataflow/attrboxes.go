@@ -115,7 +115,7 @@ func registerAttrBoxes(r *Registry) {
 			}
 			var nr *rel.Relation
 			if e.Rel.Schema().Has(name) {
-				nr, err = rel.MapColumn(e.Rel, name, def)
+				nr, err = rel.MapColumn(e.Rel, name, def, fc.Exec)
 			} else {
 				nr = e.Rel.ShallowClone()
 				err = nr.SetComputed(name, def)
@@ -208,7 +208,7 @@ func registerAttrBoxes(r *Registry) {
 					// Stored column: materialize attr op by; the
 					// self-reference reads the old stored value.
 					def := &expr.Binary{Op: op, L: &expr.Ref{Name: attr}, R: byExpr}
-					nr, err = rel.MapColumn(e.Rel, attr, def)
+					nr, err = rel.MapColumn(e.Rel, attr, def, fc.Exec)
 				} else {
 					// Computed attribute: substitute the old definition
 					// to avoid a self-referential method.

@@ -137,7 +137,7 @@ func registerDatabaseBoxes(r *Registry) {
 			if len(attrs) == 0 {
 				return nil, nil, false, nil
 			}
-			return fusedBoxDelta(ctx, d, rel.FusedOp{Project: attrs})
+			return fusedBoxDelta(ctx, fc.Exec, d, rel.FusedOp{Project: attrs})
 		},
 	})
 
@@ -159,7 +159,7 @@ func registerDatabaseBoxes(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			out, err := rel.Restrict(e.Rel, pred)
+			out, err := rel.Restrict(e.Rel, pred, fc.Exec)
 			if err != nil {
 				return nil, err
 			}
@@ -170,7 +170,7 @@ func registerDatabaseBoxes(r *Registry) {
 			if !ok {
 				return nil, nil, false, nil
 			}
-			return fusedBoxDelta(ctx, d, rel.FusedOp{Pred: pred})
+			return fusedBoxDelta(ctx, fc.Exec, d, rel.FusedOp{Pred: pred})
 		},
 	})
 
@@ -232,7 +232,7 @@ func registerDatabaseBoxes(r *Registry) {
 			default:
 				return nil, fmt.Errorf("unknown join strategy %q", p.Str("strategy", ""))
 			}
-			out, err := rel.Join(l.Rel, rr.Rel, pred, strategy)
+			out, err := rel.Join(l.Rel, rr.Rel, pred, strategy, fc.Exec)
 			if err != nil {
 				return nil, err
 			}
@@ -272,7 +272,7 @@ func registerDatabaseBoxes(r *Registry) {
 					return nil, nil, false, nil
 				}
 				var ok bool
-				if st, ok = rel.BuildJoinState(oldL.Rel, oldR.Rel, old.Rel, pred); !ok {
+				if st, ok = rel.BuildJoinState(oldL.Rel, oldR.Rel, old.Rel, pred, fc.Exec); !ok {
 					return nil, nil, false, nil
 				}
 			}
@@ -348,7 +348,7 @@ func registerDatabaseBoxes(r *Registry) {
 				return nil, err
 			}
 			notPred := &expr.Unary{Op: "not", X: pred}
-			parts, err := rel.Partition(e.Rel, []expr.Node{pred, notPred})
+			parts, err := rel.Partition(e.Rel, []expr.Node{pred, notPred}, fc.Exec)
 			if err != nil {
 				return nil, err
 			}
@@ -384,7 +384,7 @@ func registerDatabaseBoxes(r *Registry) {
 					return nil, fmt.Errorf("partition predicate %d: %w", i, err)
 				}
 			}
-			parts, err := rel.Partition(e.Rel, preds)
+			parts, err := rel.Partition(e.Rel, preds, fc.Exec)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/display"
@@ -61,6 +62,7 @@ func TestSwapAttrOnLocations(t *testing.T) {
 }
 
 func TestSwapAttrOnStoredColumns(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	tb, _ := g.AddBox("table", Params{"name": "Stations"})
 	sw, _ := g.AddBox("swapattr", Params{"a": "longitude", "b": "latitude"})
@@ -75,20 +77,22 @@ func TestSwapAttrOnStoredColumns(t *testing.T) {
 	// Swapping incompatible attributes fails.
 	bad, _ := g.AddBox("swapattr", Params{"a": "name", "b": "longitude"})
 	wire(t, g, sw, bad)
-	if _, err := ev.Demand(bad.ID, 0); err == nil {
+	if _, err := ev.Eval(ctx, Request{Box: bad.ID}); err == nil {
 		t.Error("cross-kind swap accepted")
 	}
 }
 
 func TestReplicateEnumeratedOnly(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	tb, _ := g.AddBox("table", Params{"name": "Stations"})
 	rep, _ := g.AddBox("replicate", Params{"attr": "state", "layout": "vertical"})
 	wire(t, g, tb, rep)
-	v, err := ev.Demand(rep.ID, 0)
+	res, err := ev.Eval(ctx, Request{Box: rep.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	grp := v.(*display.Group)
 	if grp.Layout != display.Vertical {
 		t.Fatalf("layout %v", grp.Layout)
@@ -103,7 +107,7 @@ func TestReplicateEnumeratedOnly(t *testing.T) {
 	// Replicate needs preds or attr.
 	none, _ := g.AddBox("replicate", Params{})
 	wire(t, g, rep2R(t, g, tb), none)
-	if _, err := ev.Demand(none.ID, 0); err == nil {
+	if _, err := ev.Eval(ctx, Request{Box: none.ID}); err == nil {
 		t.Error("replicate without spec accepted")
 	}
 }
@@ -123,6 +127,7 @@ func rep2R(t testing.TB, g *Graph, tb *Box) *Box {
 }
 
 func TestReplicateDateEnumeration(t *testing.T) {
+	ctx := context.Background()
 	// Enumerating a date attribute exercises the date literal path.
 	g, ev := newTestGraph(t)
 	tb, _ := g.AddBox("table", Params{"name": "Observations"})
@@ -130,10 +135,11 @@ func TestReplicateDateEnumeration(t *testing.T) {
 	wire(t, g, tb, rb)
 	rep, _ := g.AddBox("replicate", Params{"attr": "obs_date"})
 	wire(t, g, rb, rep)
-	v, err := ev.Demand(rep.ID, 0)
+	res, err := ev.Eval(ctx, Request{Box: rep.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	grp := v.(*display.Group)
 	if len(grp.Members) != 12 { // 12 monthly observations for station 0
 		t.Fatalf("%d date panels", len(grp.Members))
@@ -141,27 +147,29 @@ func TestReplicateDateEnumeration(t *testing.T) {
 }
 
 func TestStitchLayoutValidation(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	tb, _ := g.AddBox("table", Params{"name": "Stations"})
 	// tabular without cols fails at fire time.
 	st, _ := g.AddBox("stitch", Params{"n": "1", "layout": "tabular"})
 	wire(t, g, tb, st)
-	if _, err := ev.Demand(st.ID, 0); err == nil {
+	if _, err := ev.Eval(ctx, Request{Box: st.ID}); err == nil {
 		t.Error("tabular without cols accepted")
 	}
 	// Unknown layout fails.
 	st2, _ := g.AddBox("stitch", Params{"n": "1", "layout": "diagonal"})
 	wire(t, g, rep2R(t, g, tb), st2)
-	if _, err := ev.Demand(st2.ID, 0); err == nil {
+	if _, err := ev.Eval(ctx, Request{Box: st2.ID}); err == nil {
 		t.Error("unknown layout accepted")
 	}
 	// Tabular with cols works.
 	st3, _ := g.AddBox("stitch", Params{"n": "1", "layout": "tabular", "cols": "1"})
 	wire(t, g, rep2R(t, g, tb), st3)
-	v, err := ev.Demand(st3.ID, 0)
+	res, err := ev.Eval(ctx, Request{Box: st3.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	if v.(*display.Group).Layout != display.Tabular {
 		t.Error("tabular layout not applied")
 	}
@@ -198,17 +206,18 @@ func TestGraphUtilities(t *testing.T) {
 }
 
 func TestEvaluatorUtilities(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	if ev.Graph() != g {
 		t.Fatal("Graph accessor")
 	}
 	tb, _ := g.AddBox("table", Params{"name": "Stations"})
-	if _, err := ev.Demand(tb.ID, 0); err != nil {
+	if _, err := ev.Eval(ctx, Request{Box: tb.ID}); err != nil {
 		t.Fatal(err)
 	}
 	fires := ev.Stats.Fires
 	ev.Invalidate(tb.ID)
-	if _, err := ev.Demand(tb.ID, 0); err != nil {
+	if _, err := ev.Eval(ctx, Request{Box: tb.ID}); err != nil {
 		t.Fatal(err)
 	}
 	if ev.Stats.Fires != fires+1 {

@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/display"
 	"repro/internal/expr"
@@ -26,17 +25,6 @@ import (
 // per frame on maintained paths and degrade to exactly the old behavior
 // everywhere else; the differential tests assert byte-identical outputs
 // against full recompute either way.
-
-var deltaOff atomic.Bool
-
-// SetDeltaDisabled turns incremental delta evaluation off (true) or on
-// (false) process-wide and returns the previous setting. While disabled,
-// EnqueueTableDelta degrades to touching the table boxes (full refire) —
-// the ablation baseline for the streaming bench.
-func SetDeltaDisabled(off bool) bool { return deltaOff.Swap(off) }
-
-// DeltaDisabled reports whether incremental delta evaluation is disabled.
-func DeltaDisabled() bool { return deltaOff.Load() }
 
 // maxPendingDeltaOps bounds the tuple ops queued per table box. A queue
 // past the bound means the consumer is far behind; replaying it would
@@ -95,9 +83,9 @@ func (e *Evaluator) tableBoxes(table string) []int {
 
 // EnqueueTableDelta queues committed tuple deltas for the named table's
 // boxes, to be applied incrementally by the next demand. Entries must be
-// in commit order. When delta evaluation is disabled, an entry is
-// unusable (no ops), or a queue overflows, the affected boxes are touched
-// instead — the exact full-refire behavior of the pre-delta event path.
+// in commit order. When an entry is unusable (no ops, or no generation)
+// or a queue overflows, the affected boxes are touched instead — the
+// exact full-refire behavior of the pre-delta event path.
 //
 // Like graph mutation and SetTableSource, EnqueueTableDelta must be
 // serialized against table-source swaps: the table relation the source
@@ -110,18 +98,13 @@ func (e *Evaluator) EnqueueTableDelta(table string, deltas []TableDelta) {
 	if len(ids) == 0 {
 		return
 	}
-	usable := !deltaOff.Load()
 	for _, d := range deltas {
 		if len(d.Ops) == 0 || d.Gen == 0 {
-			usable = false
-			break
+			for _, id := range ids {
+				e.g.Touch(id)
+			}
+			return
 		}
-	}
-	if !usable {
-		for _, id := range ids {
-			e.g.Touch(id)
-		}
-		return
 	}
 	var overflow []int
 	e.mu.Lock()
@@ -160,7 +143,7 @@ type deltaResult struct {
 // maintained. Runs entirely under the evaluator lock, before the
 // wavefront; stamps are never moved, so a patched memo keeps serving
 // cache hits.
-func (e *Evaluator) applyDeltas(ctx context.Context, p *plan) {
+func (e *Evaluator) applyDeltas(ctx context.Context, p *plan, o EvalOptions) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(e.pending) == 0 {
@@ -282,7 +265,8 @@ func (e *Evaluator) applyDeltas(ctx context.Context, p *plan) {
 	// Phase 2 — propagate through the plan in level order. A node whose
 	// producers all went unchanged is untouched; one with a dropped
 	// producer drops too; otherwise its kind (or fused chain) gets one
-	// chance to maintain the memo in place.
+	// chance to maintain the memo in place, under the request's Exec.
+	fc := e.fireContext(o)
 	for _, level := range p.levels[1:] {
 		for _, n := range level {
 			if p.inlined[n.id] {
@@ -314,9 +298,9 @@ func (e *Evaluator) applyDeltas(ctx context.Context, p *plan) {
 			}
 			var res *deltaResult
 			if ch := p.fused[n.id]; ch != nil {
-				res = e.applyFusedDelta(ctx, n, ch, applied)
+				res = e.applyFusedDelta(ctx, n, ch, applied, fc.Exec)
 			} else {
-				res = e.applyKindDelta(ctx, n, applied)
+				res = e.applyKindDelta(ctx, fc, n, applied)
 			}
 			if res == nil {
 				dropNode(n.id)
@@ -370,7 +354,7 @@ func (e *Evaluator) applyDeltas(ctx context.Context, p *plan) {
 // applyFusedDelta maintains a fused restrict/project chain tail through
 // rel.FusedDelta, mirroring fireFused's parameter reading and display
 // rederivation. A nil return means fall back. Called under e.mu.
-func (e *Evaluator) applyFusedDelta(ctx context.Context, n *planNode, ch *fusedChain, applied map[int]*deltaResult) *deltaResult {
+func (e *Evaluator) applyFusedDelta(ctx context.Context, n *planNode, ch *fusedChain, applied map[int]*deltaResult, x rel.Exec) *deltaResult {
 	in := applied[ch.src.From]
 	oldVals, ok := e.cache[n.id]
 	if in == nil || !ok || len(oldVals) == 0 {
@@ -396,7 +380,7 @@ func (e *Evaluator) applyFusedDelta(ctx context.Context, n *planNode, ch *fusedC
 	if !ok {
 		return nil
 	}
-	res, outDelta, ok, err := rel.FusedDelta(ctx, ein.Rel, oldTail.Rel, ops, in.delta)
+	res, outDelta, ok, err := rel.FusedDelta(ctx, ein.Rel, oldTail.Rel, ops, in.delta, x)
 	if err != nil || !ok {
 		return nil
 	}
@@ -435,7 +419,7 @@ func fusedOps(ch *fusedChain) ([]rel.FusedOp, bool) {
 
 // fusedBoxDelta maintains an individual restrict or project box (one not
 // absorbed into a fused chain) through the one-step fused delta path.
-func fusedBoxDelta(ctx context.Context, d *DeltaFire, op rel.FusedOp) ([]Value, *rel.TupleDelta, bool, error) {
+func fusedBoxDelta(ctx context.Context, x rel.Exec, d *DeltaFire, op rel.FusedOp) ([]Value, *rel.TupleDelta, bool, error) {
 	in, err := asExtended(d.In[0])
 	if err != nil {
 		return nil, nil, false, nil
@@ -444,7 +428,7 @@ func fusedBoxDelta(ctx context.Context, d *DeltaFire, op rel.FusedOp) ([]Value, 
 	if err != nil {
 		return nil, nil, false, nil
 	}
-	res, outDelta, ok, err := rel.FusedDelta(ctx, in.Rel, old.Rel, []rel.FusedOp{op}, d.InDelta[0])
+	res, outDelta, ok, err := rel.FusedDelta(ctx, in.Rel, old.Rel, []rel.FusedOp{op}, d.InDelta[0], x)
 	if err != nil || !ok {
 		return nil, nil, false, nil
 	}
@@ -466,7 +450,7 @@ func parsePredParam(p Params) (expr.Node, bool) {
 
 // applyKindDelta maintains one regular box through its kind's FireDelta.
 // A nil return means fall back. Called under e.mu.
-func (e *Evaluator) applyKindDelta(ctx context.Context, n *planNode, applied map[int]*deltaResult) *deltaResult {
+func (e *Evaluator) applyKindDelta(ctx context.Context, fc *FireContext, n *planNode, applied map[int]*deltaResult) *deltaResult {
 	b := n.box
 	k, err := e.g.registry.Kind(b.Kind)
 	if err != nil || !k.DeltaCapable() {
@@ -506,7 +490,7 @@ func (e *Evaluator) applyKindDelta(ctx context.Context, n *planNode, applied map
 	}
 	st := e.deltaState[n.id]
 	d := &DeltaFire{Old: oldVals, In: in, OldIn: oldIn, InDelta: inDelta, State: &st}
-	newVals, outDelta, ok, err := k.FireDelta(ctx, e.fc, b.Params, d)
+	newVals, outDelta, ok, err := k.FireDelta(ctx, fc, b.Params, d)
 	if st != nil {
 		e.deltaState[n.id] = st
 	} else {

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -123,10 +124,12 @@ func randomUpdateFor(rng *rand.Rand, table string) (string, types.Value) {
 // demandRel demands (box, 0) and unwraps the relation.
 func demandRel(t *testing.T, ev *Evaluator, box int) *rel.Relation {
 	t.Helper()
-	v, err := ev.Demand(box, 0)
+	ctx := context.Background()
+	res, err := ev.Eval(ctx, Request{Box: box})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	ext, ok := v.(*display.Extended)
 	if !ok {
 		t.Fatalf("demand returned %T, want extended relation", v)
@@ -340,24 +343,32 @@ func TestDeltaOpaqueBoxFallsBack(t *testing.T) {
 	sameRel(t, "opaque fallback", got, fullRecompute(t, g, src, sb.ID))
 }
 
-// With delta evaluation disabled, EnqueueTableDelta must degrade to the
-// touch path: everything refires, output still exact.
+// A delta the evaluator cannot use — no generation stamp, or no tuple
+// ops — disables incremental evaluation for its batch: EnqueueTableDelta
+// must degrade to the touch path, everything refires, output still exact.
 func TestDeltaDisabledDegradesToTouch(t *testing.T) {
-	prev := SetDeltaDisabled(true)
-	defer SetDeltaDisabled(prev)
-	g, ev, src, boxes := buildDeltaPipeline(t)
-	target := boxes["project"].ID
-	demandRel(t, ev, target)
-	fires := ev.Stats.Fires
+	for name, degrade := range map[string]func(*TableDelta){
+		"no generation": func(d *TableDelta) { d.Gen = 0 },
+		"no ops":        func(d *TableDelta) { d.Ops = nil },
+	} {
+		g, ev, src, boxes := buildDeltaPipeline(t)
+		target := boxes["project"].ID
+		demandRel(t, ev, target)
+		fires := ev.Stats.Fires
 
-	rng := rand.New(rand.NewSource(29))
-	d := writeTable(rng, src, "Stations")
-	ev.EnqueueTableDelta("Stations", []TableDelta{d})
-	got := demandRel(t, ev, target)
-	if refired := ev.Stats.Fires - fires; refired != 2 {
-		t.Fatalf("disabled path refired %d boxes, want 2 (table + fused chain)", refired)
+		rng := rand.New(rand.NewSource(29))
+		d := writeTable(rng, src, "Stations")
+		degrade(&d)
+		ev.EnqueueTableDelta("Stations", []TableDelta{d})
+		if len(ev.pending) != 0 {
+			t.Fatalf("%s: delta queued, want the table touched instead", name)
+		}
+		got := demandRel(t, ev, target)
+		if refired := ev.Stats.Fires - fires; refired != 2 {
+			t.Fatalf("%s: refired %d boxes, want 2 (table + fused chain)", name, refired)
+		}
+		sameRel(t, name, got, fullRecompute(t, g, src, target))
 	}
-	sameRel(t, "disabled ablation", got, fullRecompute(t, g, src, target))
 }
 
 // A delta chain that does not reach the current table generation (a
@@ -381,6 +392,7 @@ func TestDeltaChainGapFallsBack(t *testing.T) {
 // deltas while reader goroutines hammer Demand. Run under -race. The
 // final quiesced demand must equal a full recompute of the final state.
 func TestDeltaRacingDemands(t *testing.T) {
+	ctx := context.Background()
 	g, ev, src, boxes := buildDeltaPipeline(t)
 	target := boxes["project"].ID
 	demandRel(t, ev, target)
@@ -398,7 +410,7 @@ func TestDeltaRacingDemands(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := ev.Demand(target, 0); err != nil {
+				if _, err := ev.Eval(ctx, Request{Box: target}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/rel"
 )
 
 // EvalStats counts work done by an evaluator. It is the per-evaluator
@@ -25,50 +26,64 @@ type EvalStats struct {
 }
 
 // EvalOptions configures one evaluation request. Build it with the
-// functional options (WithWorkers, Serial, WithLabel) passed to Eval.
+// functional options (WithWorkers, Serial, WithLabel, WithoutFusion,
+// WithPath) passed to Eval. Every setting is per request: concurrent
+// requests on one evaluator (or in one process) never see each other's.
 type EvalOptions struct {
-	// Workers bounds concurrent box firings within one request. Zero or
-	// negative means GOMAXPROCS.
+	// Workers bounds concurrent box firings within one request, and the
+	// chunk workers of each scan a firing runs. Zero or negative means
+	// GOMAXPROCS.
 	Workers int
 	// Serial forces the single-threaded fallback: the wavefront runs
 	// level by level in one goroutine, firing boxes in deterministic
-	// order. Useful for debugging and as the determinism baseline.
+	// order, and scans run serially. Useful for debugging and as the
+	// determinism baseline.
 	Serial bool
 	// Label annotates the request's trace span and Result, so concurrent
 	// requests can be told apart in a Chrome trace.
 	Label string
-	// NoPreflight skips the pre-flight validation of the demanded
-	// subgraph, restoring the old behavior of reporting only the first
-	// plan-time error the scheduler trips over.
-	NoPreflight bool
 	// NoFusion disables the plan-time fusion of adjacent restrict/project
 	// chains into single fused scans (see fuse.go), firing every box
 	// individually — the ablation baseline for the query fast path.
 	NoFusion bool
+	// Path selects how the request's relational operators evaluate
+	// expressions (rel.PathAuto, the zero value, takes every fast path).
+	Path rel.Path
 }
 
 // EvalOption mutates EvalOptions.
 type EvalOption func(*EvalOptions)
 
-// WithWorkers bounds the number of boxes firing concurrently.
+// WithWorkers bounds the number of boxes firing concurrently and the
+// chunk workers of each scan.
 func WithWorkers(n int) EvalOption { return func(o *EvalOptions) { o.Workers = n } }
 
-// Serial forces the single-threaded fallback scheduler.
+// Serial forces the single-threaded fallback scheduler and serial scans.
 func Serial() EvalOption { return func(o *EvalOptions) { o.Serial = true } }
 
 // WithLabel names the request in traces and results.
 func WithLabel(label string) EvalOption { return func(o *EvalOptions) { o.Label = label } }
 
-// WithoutPreflight opts the request out of pre-flight validation: the
-// scheduler plans directly and reports only the first problem it finds,
-// as it did before the checker existed. Intended for callers that have
-// already validated the program (tioga-vet, load-time checks).
-func WithoutPreflight() EvalOption { return func(o *EvalOptions) { o.NoPreflight = true } }
-
 // WithoutFusion opts the request out of restrict/project chain fusion,
 // firing every box of the chain individually. Useful as the ablation
 // baseline and for tests that want per-box memo entries.
 func WithoutFusion() EvalOption { return func(o *EvalOptions) { o.NoFusion = true } }
+
+// WithPath runs the request's relational operators on path p:
+// rel.PathRow turns the chunk kernels off, rel.PathInterp runs the
+// interpreter only. The ablation baselines and differential oracles use
+// it; results are identical on every path.
+func WithPath(p rel.Path) EvalOption { return func(o *EvalOptions) { o.Path = p } }
+
+// exec is the rel execution setting of the request's box firings: its
+// path, and its worker bound as the scan worker count (one under Serial).
+func (o EvalOptions) exec() rel.Exec {
+	x := rel.Exec{Path: o.Path, Workers: o.Workers}
+	if o.Serial {
+		x.Workers = 1
+	}
+	return x
+}
 
 // Request names what to evaluate: output Port of box Box, or — when
 // Input is set — whatever feeds input Port of box Box (how a viewer box
@@ -160,6 +175,14 @@ func NewEvaluator(g *Graph, src TableSource) *Evaluator {
 		deltaState:   make(map[int]any),
 		deltaTouched: make(map[int]int64),
 	}
+}
+
+// fireContext is the FireContext of one firing under request options o:
+// the evaluator's table source and registry with the request's Exec.
+func (e *Evaluator) fireContext(o EvalOptions) *FireContext {
+	fc := *e.fc
+	fc.Exec = o.exec()
+	return &fc
 }
 
 // Graph returns the evaluated graph.
@@ -311,10 +334,8 @@ func (e *Evaluator) Eval(ctx context.Context, req Request, opts ...EvalOption) (
 		return Result{Label: o.Label}, evalPortErr("request", target, port, b.Kind, ErrNoSuchPort)
 	}
 
-	if !o.NoPreflight {
-		if err := e.preflight(target); err != nil {
-			return Result{Label: o.Label}, err
-		}
+	if err := e.preflight(target); err != nil {
+		return Result{Label: o.Label}, err
 	}
 
 	obs.Inc(obs.EvalDemands)
@@ -400,31 +421,6 @@ func (e *Evaluator) EvaluateAll() error {
 		}
 	}
 	return nil
-}
-
-// Demand evaluates the given output of box id and returns its value.
-//
-// Deprecated: use Eval, which adds cancellation, parallel scheduling, and
-// a structured result. Demand remains as a thin wrapper for existing
-// callers.
-func (e *Evaluator) Demand(id, port int) (Value, error) {
-	res, err := e.Eval(context.Background(), Request{Box: id, Port: port})
-	if err != nil {
-		return nil, err
-	}
-	return res.Value, nil
-}
-
-// DemandInput evaluates whatever feeds input (id, port).
-//
-// Deprecated: use Eval with Request{Input: true}. DemandInput remains as
-// a thin wrapper for existing callers.
-func (e *Evaluator) DemandInput(id, port int) (Value, error) {
-	res, err := e.Eval(context.Background(), Request{Box: id, Port: port, Input: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.Value, nil
 }
 
 // Typecheck walks every edge and verifies compatibility, reporting all

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/display"
@@ -39,8 +40,9 @@ func buildPipeline(t testing.TB) (*Graph, *Evaluator, map[string]*Box) {
 }
 
 func TestLazyDemandTouchesOnlyUpstream(t *testing.T) {
+	ctx := context.Background()
 	_, ev, boxes := buildPipeline(t)
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	if _, err := ev.Eval(ctx, Request{Box: boxes["project"].ID}); err != nil {
 		t.Fatal(err)
 	}
 	// Only the demand's upstream fired — the table plus the fused
@@ -52,13 +54,14 @@ func TestLazyDemandTouchesOnlyUpstream(t *testing.T) {
 }
 
 func TestMemoizationAcrossDemands(t *testing.T) {
+	ctx := context.Background()
 	_, ev, boxes := buildPipeline(t)
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	if _, err := ev.Eval(ctx, Request{Box: boxes["project"].ID}); err != nil {
 		t.Fatal(err)
 	}
 	fires := ev.Stats.Fires
 	// A second demand re-fires nothing.
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	if _, err := ev.Eval(ctx, Request{Box: boxes["project"].ID}); err != nil {
 		t.Fatal(err)
 	}
 	if ev.Stats.Fires != fires {
@@ -67,8 +70,9 @@ func TestMemoizationAcrossDemands(t *testing.T) {
 }
 
 func TestIncrementalEditRefiresOnlySuffix(t *testing.T) {
+	ctx := context.Background()
 	g, ev, boxes := buildPipeline(t)
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	if _, err := ev.Eval(ctx, Request{Box: boxes["project"].ID}); err != nil {
 		t.Fatal(err)
 	}
 	base := ev.Stats.Fires
@@ -78,7 +82,7 @@ func TestIncrementalEditRefiresOnlySuffix(t *testing.T) {
 	if err := g.SetParams(boxes["restrict"].ID, Params{"pred": "state = 'TX'"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	if _, err := ev.Eval(ctx, Request{Box: boxes["project"].ID}); err != nil {
 		t.Fatal(err)
 	}
 	if got := ev.Stats.Fires - base; got != 1 {
@@ -87,13 +91,14 @@ func TestIncrementalEditRefiresOnlySuffix(t *testing.T) {
 }
 
 func TestTouchInvalidates(t *testing.T) {
+	ctx := context.Background()
 	g, ev, boxes := buildPipeline(t)
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	if _, err := ev.Eval(ctx, Request{Box: boxes["project"].ID}); err != nil {
 		t.Fatal(err)
 	}
 	base := ev.Stats.Fires
 	g.Touch(boxes["table"].ID)
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	if _, err := ev.Eval(ctx, Request{Box: boxes["project"].ID}); err != nil {
 		t.Fatal(err)
 	}
 	if got := ev.Stats.Fires - base; got != 2 {
@@ -102,31 +107,34 @@ func TestTouchInvalidates(t *testing.T) {
 }
 
 func TestDemandInputPromotes(t *testing.T) {
+	ctx := context.Background()
 	g, ev, boxes := buildPipeline(t)
 	vb, _ := g.AddBox("viewer", nil)
 	if err := g.Connect(boxes["project"].ID, 0, vb.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	v, err := ev.DemandInput(vb.ID, 0)
+	res, err := ev.Eval(ctx, Request{Box: vb.ID, Input: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	// The viewer port is G: the R output arrives as a promoted group.
 	if _, ok := v.(*display.Group); !ok {
 		t.Fatalf("viewer input is %T, want group", v)
 	}
-	if _, err := ev.DemandInput(vb.ID, 5); err == nil {
+	if _, err := ev.Eval(ctx, Request{Box: vb.ID, Port: 5, Input: true}); err == nil {
 		t.Error("bad port accepted")
 	}
-	if _, err := ev.DemandInput(boxes["table"].ID, 0); err == nil {
+	if _, err := ev.Eval(ctx, Request{Box: boxes["table"].ID, Input: true}); err == nil {
 		t.Error("demanding unconnected input accepted")
 	}
 }
 
 func TestDanglingInputError(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	rb, _ := g.AddBox("restrict", Params{"pred": "true"})
-	if _, err := ev.Demand(rb.ID, 0); err == nil {
+	if _, err := ev.Eval(ctx, Request{Box: rb.ID}); err == nil {
 		t.Error("demand with dangling input accepted")
 	}
 }
@@ -143,22 +151,26 @@ func TestEvaluateAllEager(t *testing.T) {
 }
 
 func TestMultiOutputSwitch(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	tb, _ := g.AddBox("table", Params{"name": "Stations"})
 	sw, _ := g.AddBox("switch", Params{"pred": "state = 'LA'"})
 	if err := g.Connect(tb.ID, 0, sw.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	yes, err := ev.Demand(sw.ID, 0)
+	res, err := ev.Eval(ctx, Request{Box: sw.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	no, err := ev.Demand(sw.ID, 1)
+	yes := res.Value
+	res, err = ev.Eval(ctx, Request{Box: sw.ID, Port: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	no := res.Value
 	ny, nn := extLen(t, yes), extLen(t, no)
-	all, _ := ev.Demand(tb.ID, 0)
+	res, _ = ev.Eval(ctx, Request{Box: tb.ID})
+	all := res.Value
 	if ny+nn != extLen(t, all) {
 		t.Fatalf("switch lost tuples: %d + %d != %d", ny, nn, extLen(t, all))
 	}
@@ -172,6 +184,7 @@ func TestMultiOutputSwitch(t *testing.T) {
 }
 
 func TestPartitionBox(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	tb, _ := g.AddBox("table", Params{"name": "Stations"})
 	pt, _ := g.AddBox("partition", Params{"preds": "state = 'LA'; state = 'TX'; true"})
@@ -183,13 +196,15 @@ func TestPartitionBox(t *testing.T) {
 	}
 	total := 0
 	for i := 0; i < 3; i++ {
-		v, err := ev.Demand(pt.ID, i)
+		res, err := ev.Eval(ctx, Request{Box: pt.ID, Port: i})
 		if err != nil {
 			t.Fatal(err)
 		}
+		v := res.Value
 		total += extLen(t, v)
 	}
-	all, _ := ev.Demand(tb.ID, 0)
+	res, _ := ev.Eval(ctx, Request{Box: tb.ID})
+	all := res.Value
 	if total != extLen(t, all) {
 		t.Fatalf("partition total %d != %d", total, extLen(t, all))
 	}
@@ -207,6 +222,7 @@ func buildPipelineForTypecheck(t testing.TB) (*Graph, *Evaluator, map[string]*Bo
 }
 
 func TestCycleDetectionAtEval(t *testing.T) {
+	ctx := context.Background()
 	// Graph-level connect prevents cycles; simulate a corrupt load by
 	// wiring edges directly.
 	g, ev := newTestGraph(t)
@@ -214,7 +230,7 @@ func TestCycleDetectionAtEval(t *testing.T) {
 	b, _ := g.AddBox("restrict", Params{"pred": "true"})
 	g.edges[a.ID] = map[int]Edge{0: {From: b.ID, FromPort: 0, To: a.ID, ToPort: 0}}
 	g.edges[b.ID] = map[int]Edge{0: {From: a.ID, FromPort: 0, To: b.ID, ToPort: 0}}
-	if _, err := ev.Demand(a.ID, 0); err == nil {
+	if _, err := ev.Eval(ctx, Request{Box: a.ID}); err == nil {
 		t.Error("cyclic evaluation accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -26,16 +25,6 @@ import (
 // fires on its own then. Invalidation is untouched — a fused tail's
 // staleness stamp already covers the interiors (they are on its input
 // walk), and Invalidate sweeps dependents over the real edge set.
-
-var fusionOff atomic.Bool
-
-// SetFusionDisabled turns restrict/project chain fusion off (true) or on
-// (false) process-wide and returns the previous setting; the per-request
-// WithoutFusion option does the same for one evaluation.
-func SetFusionDisabled(off bool) bool { return fusionOff.Swap(off) }
-
-// FusionDisabled reports whether chain fusion is disabled process-wide.
-func FusionDisabled() bool { return fusionOff.Load() }
 
 // fusedStep is one box of a fused chain, head to tail.
 type fusedStep struct {
@@ -172,10 +161,6 @@ func (e *Evaluator) fireFused(ctx context.Context, p *plan, n *planNode, ch *fus
 		}
 	}
 
-	workers := o.Workers
-	if o.Serial {
-		workers = 1
-	}
 	fctx := ctx
 	var sp *obs.Span
 	if obs.Recording() {
@@ -183,7 +168,7 @@ func (e *Evaluator) fireFused(ctx context.Context, p *plan, n *planNode, ch *fus
 			"box", strconv.Itoa(n.id), "kind", obs.FusedKindPrefix+strconv.Itoa(len(ch.steps)))
 	}
 	t := obs.StartTimer(obs.EvalFireNS)
-	res, err := rel.FusedScanCtx(fctx, ein.Rel, ops, workers)
+	res, err := rel.FusedScan(fctx, ein.Rel, ops, o.exec())
 	t.Stop()
 	sp.End()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/display"
@@ -44,12 +45,12 @@ func provFingerprint(t testing.TB, v Value) string {
 	if !ok {
 		t.Fatalf("value is %T, want *display.Extended", v)
 	}
-	out := ""
+	var b strings.Builder
 	for i := 0; i < e.Rel.Len(); i++ {
 		base, row := e.Rel.BaseRow(i)
-		out += fmt.Sprintf("%s[%d];", base.Name(), row)
+		fmt.Fprintf(&b, "%s[%d];", base.Name(), row)
 	}
-	return out
+	return b.String()
 }
 
 func TestFusedChainMatchesUnfused(t *testing.T) {
@@ -84,19 +85,6 @@ func TestFusedChainMatchesUnfused(t *testing.T) {
 	}
 	if wantProv == "" {
 		t.Fatal("chain produced no rows; the fixture no longer exercises fusion")
-	}
-}
-
-func TestGlobalFusionKnobDisables(t *testing.T) {
-	_, ev, boxes := buildChain(t)
-	prev := SetFusionDisabled(true)
-	defer SetFusionDisabled(prev)
-	res, err := ev.Eval(context.Background(), Request{Box: boxes["r2"].ID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fires != 4 {
-		t.Fatalf("with fusion disabled fired %d boxes, want 4", res.Fires)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/display"
@@ -11,15 +12,17 @@ import (
 // stamp (internal/viewer) retire their entries even while they still hold
 // the old pointer.
 func TestInvalidateBumpsDisplayableGenerations(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	tb, err := g.AddBox("table", Params{"name": "Stations"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := ev.Demand(tb.ID, 0)
+	res, err := ev.Eval(ctx, Request{Box: tb.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	ext, ok := v.(*display.Extended)
 	if !ok {
 		t.Fatalf("table output is %T, want *display.Extended", v)
@@ -32,15 +35,17 @@ func TestInvalidateBumpsDisplayableGenerations(t *testing.T) {
 }
 
 func TestInvalidateAllBumpsDisplayableGenerations(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	tb, err := g.AddBox("table", Params{"name": "Stations"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := ev.Demand(tb.ID, 0)
+	res, err := ev.Eval(ctx, Request{Box: tb.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	ext := v.(*display.Extended)
 	before := ext.Generation()
 	ev.InvalidateAll()

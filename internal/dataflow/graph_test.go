@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/display"
@@ -272,24 +273,27 @@ func TestMatchingKinds(t *testing.T) {
 }
 
 func TestSetParams(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	tb, _ := g.AddBox("table", Params{"name": "Stations"})
 	rb, _ := g.AddBox("restrict", Params{"pred": "state = 'LA'"})
 	_ = g.Connect(tb.ID, 0, rb.ID, 0)
 
-	v1, err := ev.Demand(rb.ID, 0)
+	res, err := ev.Eval(ctx, Request{Box: rb.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v1 := res.Value
 	n1 := extLen(t, v1)
 
 	if err := g.SetParams(rb.ID, Params{"pred": "true"}); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := ev.Demand(rb.ID, 0)
+	res, err = ev.Eval(ctx, Request{Box: rb.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v2 := res.Value
 	if extLen(t, v2) <= n1 {
 		t.Error("new predicate did not re-fire")
 	}

@@ -22,6 +22,10 @@ type FireContext struct {
 	// Registry gives higher-order boxes (the lifting wrappers of
 	// Section 2) access to the kinds they wrap.
 	Registry *Registry
+	// Exec is the requesting evaluation's execution setting (its
+	// rel.Path and scan worker bound), passed to every relational
+	// operator the box runs.
+	Exec rel.Exec
 }
 
 // FireFunc computes a box's outputs from its inputs. Inputs arrive

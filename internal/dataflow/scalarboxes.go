@@ -77,7 +77,7 @@ func registerScalarBoxes(r *Registry) {
 				L:  &expr.Ref{Name: attr},
 				R:  &expr.Lit{Val: types.NewFloat(f)},
 			}
-			out, err := rel.Restrict(e.Rel, pred)
+			out, err := rel.Restrict(e.Rel, pred, fc.Exec)
 			if err != nil {
 				return nil, err
 			}

@@ -1,12 +1,14 @@
 package dataflow
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/types"
 )
 
 func TestConstBox(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	c, err := g.AddBox("const", Params{"type": "float", "value": "2.5"})
 	if err != nil {
@@ -15,10 +17,11 @@ func TestConstBox(t *testing.T) {
 	if len(c.Out) != 1 || !c.Out[0].Equal(ScalarType(types.Float)) {
 		t.Fatalf("const port = %v", c.Out)
 	}
-	v, err := ev.Demand(c.ID, 0)
+	res, err := ev.Eval(ctx, Request{Box: c.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	if sv := v.(types.Value); sv.Float() != 2.5 {
 		t.Fatalf("const = %s", sv)
 	}
@@ -27,12 +30,13 @@ func TestConstBox(t *testing.T) {
 		t.Error("bad type accepted")
 	}
 	bad, _ := g.AddBox("const", Params{"type": "int", "value": "xyz"})
-	if _, err := ev.Demand(bad.ID, 0); err == nil {
+	if _, err := ev.Eval(ctx, Request{Box: bad.ID}); err == nil {
 		t.Error("unparsable value accepted")
 	}
 }
 
 func TestThresholdBoxWithRuntimeParameter(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	tb, _ := g.AddBox("table", Params{"name": "Stations"})
 	cv, _ := g.AddBox("const", Params{"type": "float", "value": "100"})
@@ -43,10 +47,11 @@ func TestThresholdBoxWithRuntimeParameter(t *testing.T) {
 	if err := g.Connect(cv.ID, 0, th.ID, 1); err != nil {
 		t.Fatal(err)
 	}
-	v, err := ev.Demand(th.ID, 0)
+	res, err := ev.Eval(ctx, Request{Box: th.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	e := demandR(t, ev, th.ID)
 	_ = v
 	for i := 0; i < e.Rel.Len(); i++ {
@@ -79,6 +84,7 @@ func TestThresholdBoxWithRuntimeParameter(t *testing.T) {
 }
 
 func TestSamplePBox(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	tb, _ := g.AddBox("table", Params{"name": "Observations"})
 	cv, _ := g.AddBox("const", Params{"type": "float", "value": "0.25"})
@@ -95,20 +101,22 @@ func TestSamplePBox(t *testing.T) {
 	if err := g.SetParams(cv.ID, Params{"type": "float", "value": "1.5"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Demand(sp.ID, 0); err == nil {
+	if _, err := ev.Eval(ctx, Request{Box: sp.ID}); err == nil {
 		t.Error("probability > 1 accepted")
 	}
 }
 
 func TestCountBox(t *testing.T) {
+	ctx := context.Background()
 	g, ev := newTestGraph(t)
 	tb, _ := g.AddBox("table", Params{"name": "Stations"})
 	ct, _ := g.AddBox("count", nil)
 	_ = g.Connect(tb.ID, 0, ct.ID, 0)
-	v, err := ev.Demand(ct.ID, 0)
+	res, err := ev.Eval(ctx, Request{Box: ct.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	if n := v.(types.Value).Int(); n != 40 {
 		t.Fatalf("count = %d", n)
 	}
@@ -120,10 +128,11 @@ func TestCountBox(t *testing.T) {
 	if err := g.Connect(ct.ID, 0, tt.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	v, err = ev.Demand(tt.ID, 1)
+	res, err = ev.Eval(ctx, Request{Box: tt.ID, Port: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v = res.Value
 	if v.(types.Value).Int() != 40 {
 		t.Fatal("T over scalar lost the value")
 	}

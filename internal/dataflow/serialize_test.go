@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -87,12 +88,13 @@ func TestMergeAddsWithFreshIDs(t *testing.T) {
 }
 
 func TestRestoreUndo(t *testing.T) {
+	ctx := context.Background()
 	g, ev, boxes := buildPipeline(t)
 	snapshot, err := Marshal(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	if _, err := ev.Eval(ctx, Request{Box: boxes["project"].ID}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,7 +115,7 @@ func TestRestoreUndo(t *testing.T) {
 	}
 	// Evaluation works and re-fires (versions bumped).
 	fires := ev.Stats.Fires
-	if _, err := ev.Demand(boxes["project"].ID, 0); err != nil {
+	if _, err := ev.Eval(ctx, Request{Box: boxes["project"].ID}); err != nil {
 		t.Fatal(err)
 	}
 	if ev.Stats.Fires == fires {

@@ -184,7 +184,7 @@ func registerVizBoxes(r *Registry) {
 					return nil, fmt.Errorf("replicate predicate %q: %w", s, err)
 				}
 			}
-			parts, err := rel.Partition(e.Rel, preds)
+			parts, err := rel.Partition(e.Rel, preds, fc.Exec)
 			if err != nil {
 				return nil, err
 			}

@@ -102,10 +102,10 @@ func (e *Evaluator) evalTarget(ctx context.Context, target int, o EvalOptions) (
 	if err != nil {
 		return nil, res, err
 	}
-	if !o.NoFusion && !fusionOff.Load() {
+	if !o.NoFusion {
 		e.fuseChains(p, target)
 	}
-	e.applyDeltas(ctx, p)
+	e.applyDeltas(ctx, p, o)
 	res.Waves = len(p.levels)
 	obs.Add(obs.EvalWaves, int64(len(p.levels)))
 
@@ -380,7 +380,7 @@ func (e *Evaluator) fire(ctx context.Context, p *plan, n *planNode, o EvalOption
 		_, sp = obs.StartSpanCtx(ctx, obs.SpanEvalFire, "box", strconv.Itoa(n.id), "kind", b.Kind)
 	}
 	t := obs.StartTimer(obs.EvalFireNS)
-	out, err := k.Fire(e.fc, b.Params, inVals)
+	out, err := k.Fire(e.fireContext(o), b.Params, inVals)
 	t.Stop()
 	sp.End()
 	if err != nil {

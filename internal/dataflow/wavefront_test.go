@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,11 +64,12 @@ func fingerprintR(t testing.TB, v Value) string {
 	if !ok {
 		t.Fatalf("value is %T, want *display.Extended", v)
 	}
-	out := fmt.Sprintf("%s/%d:", e.Label, e.Rel.Len())
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s/%d:", e.Label, e.Rel.Len())
 	for i := 0; i < e.Rel.Len(); i++ {
-		out += fmt.Sprintf("%v;", e.Rel.Tuple(i))
+		fmt.Fprintf(&b, "%v;", e.Rel.Tuple(i))
 	}
-	return out
+	return b.String()
 }
 
 func TestParallelEvalMatchesSerial(t *testing.T) {
@@ -128,6 +130,7 @@ func TestEvalResultProfile(t *testing.T) {
 // entry, and because an external table swap moves no graph version, the
 // downstream stamps still looked fresh and served stale values.
 func TestInvalidatePropagatesDownstream(t *testing.T) {
+	ctx := context.Background()
 	src := testSource() // Stations has 40 rows
 	g := NewGraph(NewRegistry())
 	ev := NewEvaluator(g, src)
@@ -141,10 +144,11 @@ func TestInvalidatePropagatesDownstream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v, err := ev.Demand(pb.ID, 0)
+	res, err := ev.Eval(ctx, Request{Box: pb.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := res.Value
 	if n := extLen(t, v); n != 40 {
 		t.Fatalf("initial demand saw %d rows, want 40", n)
 	}
@@ -154,10 +158,11 @@ func TestInvalidatePropagatesDownstream(t *testing.T) {
 	src["Stations"] = workload.Stations(10, 1)
 	ev.Invalidate(tb.ID)
 
-	v, err = ev.Demand(pb.ID, 0)
+	res, err = ev.Eval(ctx, Request{Box: pb.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v = res.Value
 	if n := extLen(t, v); n != 10 {
 		t.Fatalf("post-invalidate demand saw %d rows, want 10 (stale downstream memo)", n)
 	}
@@ -289,10 +294,11 @@ func TestEvalStress(t *testing.T) {
 	}
 	baseline := map[int]string{}
 	for _, id := range targets {
-		v, err := ev.Demand(id, 0)
+		res, err := ev.Eval(context.Background(), Request{Box: id})
 		if err != nil {
 			t.Fatal(err)
 		}
+		v := res.Value
 		baseline[id] = fingerprintR(t, v)
 	}
 
@@ -339,10 +345,11 @@ func TestEvalStress(t *testing.T) {
 	// The evaluator is still coherent after the storm.
 	ev.InvalidateAll()
 	for _, id := range targets {
-		v, err := ev.Demand(id, 0)
+		res, err := ev.Eval(context.Background(), Request{Box: id})
 		if err != nil {
 			t.Fatal(err)
 		}
+		v := res.Value
 		if got := fingerprintR(t, v); got != baseline[id] {
 			t.Errorf("box %d diverged after stress", id)
 		}

@@ -193,7 +193,7 @@ func TestBackendLoadUnderQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := rel.Restrict(tb, expr.MustParse("id % 1000 = 7"))
+	out, err := rel.Restrict(tb, expr.MustParse("id % 1000 = 7"), rel.Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

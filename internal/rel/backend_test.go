@@ -198,15 +198,12 @@ func TestBoundedMemoryScan(t *testing.T) {
 	}
 
 	pred := expr.MustParse("b != 0 and a / b >= 0")
-	var want *Relation
-	withInterpreter(t, func() {
-		want, err = Restrict(src, pred)
-	})
+	want, err := Restrict(src, pred, Exec{Path: PathInterp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 3; pass++ {
-		got, err := Restrict(big, pred)
+		got, err := Restrict(big, pred, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,14 +218,11 @@ func TestBoundedMemoryScan(t *testing.T) {
 		dim.MustAppend([]types.Value{types.NewInt(int64(i)), types.NewText(fmt.Sprintf("g%d", i))})
 	}
 	jp := expr.MustParse("a = a_r")
-	j, err := Join(big, dim, jp, JoinAuto)
+	j, err := Join(big, dim, jp, JoinAuto, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantJoin *Relation
-	withInterpreter(t, func() {
-		wantJoin, err = Join(src, dim, jp, JoinAuto)
-	})
+	wantJoin, err := Join(src, dim, jp, JoinAuto, Exec{Path: PathInterp})
 	if err != nil {
 		t.Fatal(err)
 	}

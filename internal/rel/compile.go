@@ -3,7 +3,6 @@ package rel
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -13,66 +12,55 @@ import (
 // This file wires the expression compiler (internal/expr/compile.go) into
 // the relational operators and provides the chunked parallel-scan
 // machinery they share. Compilation is best-effort: every call site keeps
-// the interpreted path as a fallback, and the ablation knobs below turn
-// the fast paths off wholesale so benchmarks can measure them.
+// the interpreted path as a fallback, and the caller's Exec can turn the
+// fast paths off for one call so benchmarks and tests can measure and
+// check them.
 
 // DefaultScanThreshold is the row count below which scans stay
 // single-threaded: chunk bookkeeping and goroutine handoff cost more than
 // they save on small relations.
 const DefaultScanThreshold = 4096
 
-var (
-	compileOff    atomic.Bool
-	scanWorkers   atomic.Int64 // 0 = GOMAXPROCS
-	scanThreshold atomic.Int64 // 0 = DefaultScanThreshold
+// Path selects how the compiling operators evaluate expressions.
+type Path uint8
+
+const (
+	// PathAuto, the zero value, runs chunk kernels where the predicate
+	// and storage allow, compiled closures where the expression compiles,
+	// and the interpreter otherwise.
+	PathAuto Path = iota
+	// PathRow runs compiled closures row at a time, never chunk kernels:
+	// the baseline that isolates the kernels' contribution.
+	PathRow
+	// PathInterp runs the tree-walking interpreter only: the oracle every
+	// faster path is tested against.
+	PathInterp
 )
 
-// SetCompileDisabled turns expression compilation off (true) or on
-// (false) process-wide and returns the previous setting. With compilation
-// off every operator takes its interpreted path — the ablation baseline.
-func SetCompileDisabled(off bool) bool { return compileOff.Swap(off) }
-
-// CompileDisabled reports whether expression compilation is disabled.
-func CompileDisabled() bool { return compileOff.Load() }
-
-// SetScanWorkers sets the worker count for parallel scans and returns the
-// previous setting. Zero or negative means GOMAXPROCS; one disables
-// parallel scans.
-func SetScanWorkers(n int) int { return int(scanWorkers.Swap(int64(n))) }
-
-// ScanWorkers returns the configured scan worker count (0 = GOMAXPROCS).
-func ScanWorkers() int { return int(scanWorkers.Load()) }
-
-// SetScanThreshold sets the minimum row count for parallel scans and
-// returns the previous setting. Zero or negative restores the default.
-func SetScanThreshold(n int) int { return int(scanThreshold.Swap(int64(n))) }
-
-// ScanThreshold returns the effective parallel-scan row threshold.
-func ScanThreshold() int {
-	if t := int(scanThreshold.Load()); t > 0 {
-		return t
-	}
-	return DefaultScanThreshold
+// Exec is the execution setting of one operator call. The zero value is
+// the production setting: every fast path on, GOMAXPROCS scan workers.
+type Exec struct {
+	Path Path
+	// Workers bounds a scan's parallel chunks. Zero or negative means
+	// GOMAXPROCS; one scans serially.
+	Workers int
 }
 
-// effectiveWorkers resolves a caller-requested worker count (0 = inherit
-// the package setting, which itself defaults to GOMAXPROCS).
-func effectiveWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	if w := int(scanWorkers.Load()); w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// compiles reports whether x allows compiled closures (and so kernels).
+func (x Exec) compiles() bool { return x.Path != PathInterp }
 
-// scanChunks decides how many contiguous chunks an n-row scan splits
-// into: 1 (serial) below the threshold or with one worker, else up to the
-// effective worker count.
-func scanChunks(n, workers int) int {
-	w := effectiveWorkers(workers)
-	if w <= 1 || n < ScanThreshold() {
+// kernels reports whether x allows the columnar chunk kernels.
+func (x Exec) kernels() bool { return x.Path == PathAuto }
+
+// chunks decides how many contiguous chunks an n-row scan splits into:
+// 1 (serial) below DefaultScanThreshold or with one worker, else up to
+// the worker count.
+func (x Exec) chunks(n int) int {
+	w := x.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w <= 1 || n < DefaultScanThreshold {
 		return 1
 	}
 	if w > n {
@@ -257,9 +245,10 @@ func (ce *compiledExpr) eval(t, scratch []types.Value) (types.Value, []types.Val
 }
 
 // compilePredicate compiles pred against the relation's tuple layout, or
-// returns nil when compilation is disabled or fails (use the interpreter).
-func (r *Relation) compilePredicate(pred expr.Node) *compiledPred {
-	if compileOff.Load() {
+// returns nil when x disables compilation or it fails (use the
+// interpreter).
+func (r *Relation) compilePredicate(pred expr.Node, x Exec) *compiledPred {
+	if !x.compiles() {
 		return nil
 	}
 	plan, mat := r.buildMat(pred)
@@ -272,9 +261,9 @@ func (r *Relation) compilePredicate(pred expr.Node) *compiledPred {
 }
 
 // compileExpr compiles def against the relation's tuple layout, or
-// returns nil when compilation is disabled or fails.
-func (r *Relation) compileExpr(def expr.Node) *compiledExpr {
-	if compileOff.Load() {
+// returns nil when x disables compilation or it fails.
+func (r *Relation) compileExpr(def expr.Node, x Exec) *compiledExpr {
+	if !x.compiles() {
 		return nil
 	}
 	plan, mat := r.buildMat(def)

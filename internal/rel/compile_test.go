@@ -1,11 +1,15 @@
 package rel
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/types"
 )
 
@@ -13,25 +17,18 @@ import (
 // per-row provenance — for exact equality checks across execution modes.
 func relFingerprint(t testing.TB, r *Relation) string {
 	t.Helper()
-	out := r.schema.String() + "|"
+	var b strings.Builder
+	b.WriteString(r.schema.String())
+	b.WriteString("|")
 	for _, c := range r.computed {
-		out += fmt.Sprintf("%s=%s:%s;", c.Name, c.Expr, c.Kind)
+		fmt.Fprintf(&b, "%s=%s:%s;", c.Name, c.Expr, c.Kind)
 	}
-	out += "|"
+	b.WriteString("|")
 	for i := 0; i < r.Len(); i++ {
 		base, row := r.BaseRow(i)
-		out += fmt.Sprintf("%v@%s[%d];", r.Tuple(i), base.Name(), row)
+		fmt.Fprintf(&b, "%v@%s[%d];", r.Tuple(i), base.Name(), row)
 	}
-	return out
-}
-
-// withInterpreter runs fn with expression compilation disabled, restoring
-// the knob afterwards.
-func withInterpreter(t testing.TB, fn func()) {
-	t.Helper()
-	prev := SetCompileDisabled(true)
-	defer SetCompileDisabled(prev)
-	fn()
+	return b.String()
 }
 
 // bigRelation builds n rows with nulls sprinkled in, plus computed
@@ -76,14 +73,11 @@ func TestRestrictCompiledMatchesInterpreted(t *testing.T) {
 	r := bigRelation(t, 500)
 	for _, src := range differentialPreds {
 		pred := expr.MustParse(src)
-		compiled, err := Restrict(r, pred)
+		compiled, err := Restrict(r, pred, Exec{})
 		if err != nil {
 			t.Fatalf("compiled restrict %q: %v", src, err)
 		}
-		var interpreted *Relation
-		withInterpreter(t, func() {
-			interpreted, err = Restrict(r, pred)
-		})
+		interpreted, err := Restrict(r, pred, Exec{Path: PathInterp})
 		if err != nil {
 			t.Fatalf("interpreted restrict %q: %v", src, err)
 		}
@@ -97,14 +91,11 @@ func TestMapColumnCompiledMatchesInterpreted(t *testing.T) {
 	r := bigRelation(t, 300)
 	for _, src := range []string{"val * 2.0", "val + float(id % 5)", "score / 3.0"} {
 		def := expr.MustParse(src)
-		compiled, err := MapColumn(r, "val", def)
+		compiled, err := MapColumn(r, "val", def, Exec{})
 		if err != nil {
 			t.Fatalf("compiled map %q: %v", src, err)
 		}
-		var interpreted *Relation
-		withInterpreter(t, func() {
-			interpreted, err = MapColumn(r, "val", def)
-		})
+		interpreted, err := MapColumn(r, "val", def, Exec{Path: PathInterp})
 		if err != nil {
 			t.Fatalf("interpreted map %q: %v", src, err)
 		}
@@ -121,14 +112,11 @@ func TestPartitionCompiledMatchesInterpreted(t *testing.T) {
 		expr.MustParse("val < 0.0"),
 		expr.MustParse("id % 2 = 0"),
 	}
-	compiled, err := Partition(r, preds)
+	compiled, err := Partition(r, preds, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var interpreted []*Relation
-	withInterpreter(t, func() {
-		interpreted, err = Partition(r, preds)
-	})
+	interpreted, err := Partition(r, preds, Exec{Path: PathInterp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +141,11 @@ func TestJoinResidualCompiledMatchesInterpreted(t *testing.T) {
 	}
 	pred := expr.MustParse("grp = did and val > bonus / 1000.0")
 	for _, strat := range []JoinStrategy{JoinHash, JoinNestedLoop} {
-		compiled, err := Join(l, r, pred, strat)
+		compiled, err := Join(l, r, pred, strat, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var interpreted *Relation
-		withInterpreter(t, func() {
-			interpreted, err = Join(l, r, pred, strat)
-		})
+		interpreted, err := Join(l, r, pred, strat, Exec{Path: PathInterp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,6 +158,7 @@ func TestJoinResidualCompiledMatchesInterpreted(t *testing.T) {
 // FusedScan against the chain of individual operators it replaces: same
 // schema, computed attributes, tuples, and provenance.
 func TestFusedScanMatchesChain(t *testing.T) {
+	ctx := context.Background()
 	r := bigRelation(t, 600)
 	ops := []FusedOp{
 		{Pred: expr.MustParse("val > -25.0")},
@@ -181,18 +167,18 @@ func TestFusedScanMatchesChain(t *testing.T) {
 	}
 	want := r
 	var err error
-	if want, err = Restrict(want, ops[0].Pred); err != nil {
+	if want, err = Restrict(want, ops[0].Pred, Exec{}); err != nil {
 		t.Fatal(err)
 	}
 	if want, err = Project(want, ops[1].Project); err != nil {
 		t.Fatal(err)
 	}
-	if want, err = Restrict(want, ops[2].Pred); err != nil {
+	if want, err = Restrict(want, ops[2].Pred, Exec{}); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, workers := range []int{1, 4} {
-		res, err := FusedScan(r, ops, workers)
+		res, err := FusedScan(ctx, r, ops, Exec{Workers: workers})
 		if err != nil {
 			t.Fatalf("fused scan (workers=%d): %v", workers, err)
 		}
@@ -204,21 +190,20 @@ func TestFusedScanMatchesChain(t *testing.T) {
 		}
 	}
 
-	// Interpreted fused scan (compilation off) agrees too.
-	withInterpreter(t, func() {
-		res, err := FusedScan(r, ops, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if relFingerprint(t, res.Out) != relFingerprint(t, want) {
-			t.Error("interpreted fused scan differs from chain")
-		}
-	})
+	// Interpreted fused scan agrees too.
+	res, err := FusedScan(ctx, r, ops, Exec{Path: PathInterp, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if relFingerprint(t, res.Out) != relFingerprint(t, want) {
+		t.Error("interpreted fused scan differs from chain")
+	}
 }
 
 // Randomized fused-vs-chain property: random pipelines over random
 // relations, fused output must match the operator chain exactly.
 func TestFusedScanMatchesChainRandom(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(5))
 	preds := append([]string{}, differentialPreds...)
 	projects := [][]string{
@@ -269,7 +254,7 @@ func TestFusedScanMatchesChainRandom(t *testing.T) {
 		var err error
 		for _, op := range ops {
 			if op.Pred != nil {
-				want, err = Restrict(want, op.Pred)
+				want, err = Restrict(want, op.Pred, Exec{})
 			} else {
 				want, err = Project(want, op.Project)
 			}
@@ -277,7 +262,7 @@ func TestFusedScanMatchesChainRandom(t *testing.T) {
 				t.Fatalf("trial %d chain: %v", trial, err)
 			}
 		}
-		res, err := FusedScan(r, ops, 1+rng.Intn(4))
+		res, err := FusedScan(ctx, r, ops, Exec{Workers: 1 + rng.Intn(4)})
 		if err != nil {
 			t.Fatalf("trial %d fused: %v", trial, err)
 		}
@@ -288,12 +273,13 @@ func TestFusedScanMatchesChainRandom(t *testing.T) {
 }
 
 func TestFusedScanStepErrors(t *testing.T) {
+	ctx := context.Background()
 	r := bigRelation(t, 50)
 	// Shape-time failure: unknown attribute in step 1.
-	_, err := FusedScan(r, []FusedOp{
+	_, err := FusedScan(ctx, r, []FusedOp{
 		{Pred: expr.MustParse("val > 0.0")},
 		{Pred: expr.MustParse("nope = 1")},
-	}, 1)
+	}, Exec{Workers: 1})
 	var se *FusedStepError
 	if err == nil {
 		t.Fatal("bad predicate accepted")
@@ -302,9 +288,9 @@ func TestFusedScanStepErrors(t *testing.T) {
 		t.Fatalf("error %v not attributed to step 1", err)
 	}
 	// Runtime failure: division by zero in step 0.
-	_, err = FusedScan(r, []FusedOp{
+	_, err = FusedScan(ctx, r, []FusedOp{
 		{Pred: expr.MustParse("id / (id - id) > 0")},
-	}, 1)
+	}, Exec{Workers: 1})
 	if err == nil {
 		t.Fatal("erroring predicate succeeded")
 	}
@@ -328,54 +314,70 @@ func asStepError(err error, out **FusedStepError) bool {
 	return false
 }
 
-// Parallel scans must be byte-deterministic: many workers with a tiny
-// chunk threshold produce exactly the serial output, run after run.
+// Parallel scans must be byte-deterministic: many workers over a
+// relation above DefaultScanThreshold produce exactly the serial output,
+// run after run, on the kernel and the compiled-closure paths alike.
 func TestParallelScanDeterminism(t *testing.T) {
-	r := bigRelation(t, 2000)
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	ctx := context.Background()
+	r := bigRelation(t, 2*DefaultScanThreshold+500)
 	pred := expr.MustParse("score > 0.0 and id % 7 != 2")
-
-	serial, err := Restrict(r, pred)
-	if err != nil {
-		t.Fatal(err)
+	def := expr.MustParse("val * 3.0")
+	ops := []FusedOp{{Pred: pred}, {Project: []string{"id", "val"}}}
+	for _, path := range []Path{PathAuto, PathRow} {
+		serial, parallel := Exec{Path: path, Workers: 1}, Exec{Path: path, Workers: 8}
+		// run executes all three scanning operators under x and
+		// fingerprints their outputs.
+		run := func(x Exec) [3]string {
+			t.Helper()
+			rs, err := Restrict(r, pred, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc, err := MapColumn(r, "val", def, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := FusedScan(ctx, r, ops, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return [3]string{relFingerprint(t, rs), relFingerprint(t, mc), relFingerprint(t, fs.Out)}
+		}
+		want := run(serial)
+		for i := 0; i < 5; i++ {
+			before := obs.CounterValue(obs.RelScanChunks)
+			got := run(parallel)
+			if obs.CounterValue(obs.RelScanChunks) == before {
+				t.Fatalf("path %d run %d: no scan split into chunks", path, i)
+			}
+			for op, name := range []string{"restrict", "map column", "fused scan"} {
+				if got[op] != want[op] {
+					t.Fatalf("path %d run %d: parallel %s differs from serial", path, i, name)
+				}
+			}
+		}
 	}
-	want := relFingerprint(t, serial)
+}
 
-	prevW := SetScanWorkers(8)
-	prevT := SetScanThreshold(1)
-	defer func() {
-		SetScanWorkers(prevW)
-		SetScanThreshold(prevT)
-	}()
-	for i := 0; i < 5; i++ {
-		par, err := Restrict(r, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := relFingerprint(t, par); got != want {
-			t.Fatalf("parallel restrict run %d differs from serial", i)
-		}
-		mc, err := MapColumn(r, "val", expr.MustParse("val * 3.0"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mcs := relFingerprint(t, mc)
-		res, err := FusedScan(r, []FusedOp{{Pred: pred}, {Project: []string{"id", "val"}}}, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs := relFingerprint(t, res.Out)
-		if i == 0 {
-			t.Logf("rows: restrict=%d map=%d fused=%d", par.Len(), mc.Len(), res.Out.Len())
-		}
-		for j := 0; j < 2; j++ {
-			mc2, _ := MapColumn(r, "val", expr.MustParse("val * 3.0"))
-			if relFingerprint(t, mc2) != mcs {
-				t.Fatal("parallel map column nondeterministic")
-			}
-			res2, _ := FusedScan(r, []FusedOp{{Pred: pred}, {Project: []string{"id", "val"}}}, 8)
-			if relFingerprint(t, res2.Out) != fs {
-				t.Fatal("parallel fused scan nondeterministic")
-			}
+// Exec.chunks: a scan stays serial below DefaultScanThreshold or with one
+// worker; above it the zero Exec uses GOMAXPROCS workers and an explicit
+// bound uses exactly that many, on every path.
+func TestExecChunks(t *testing.T) {
+	n := DefaultScanThreshold
+	for _, c := range []struct {
+		x       Exec
+		n, want int
+	}{
+		{Exec{}, n - 1, 1},
+		{Exec{}, n, runtime.GOMAXPROCS(0)},
+		{Exec{Workers: 1}, 10 * n, 1},
+		{Exec{Workers: 8}, n, 8},
+		{Exec{Path: PathInterp, Workers: 3}, n, 3},
+	} {
+		if got := c.x.chunks(c.n); got != c.want {
+			t.Errorf("%+v.chunks(%d) = %d, want %d", c.x, c.n, got, c.want)
 		}
 	}
 }
@@ -383,25 +385,21 @@ func TestParallelScanDeterminism(t *testing.T) {
 // Parallel error determinism: the error surfaced must be the one the
 // serial scan hits first, regardless of worker count.
 func TestParallelScanErrorDeterminism(t *testing.T) {
+	const n, bad = 3 * DefaultScanThreshold, 2*DefaultScanThreshold + 700
 	r := New("E", MustSchema(Column{Name: "a", Kind: types.Int}))
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < n; i++ {
 		r.MustAppend([]types.Value{types.NewInt(int64(i))})
 	}
-	// Fails for every a >= 700: first failing row is 700 in serial order.
-	pred := expr.MustParse("if(a < 700, 1, a / 0) = 1")
+	// Fails for every a >= bad: the first failing row in serial order is
+	// bad, and every chunk after its chunk fails too.
+	pred := expr.MustParse(fmt.Sprintf("if(a < %d, 1, a / 0) = 1", bad))
 
-	_, serialErr := Restrict(r, pred)
+	_, serialErr := Restrict(r, pred, Exec{Workers: 1})
 	if serialErr == nil {
 		t.Fatal("expected serial error")
 	}
-	prevW := SetScanWorkers(8)
-	prevT := SetScanThreshold(1)
-	defer func() {
-		SetScanWorkers(prevW)
-		SetScanThreshold(prevT)
-	}()
 	for i := 0; i < 4; i++ {
-		_, parErr := Restrict(r, pred)
+		_, parErr := Restrict(r, pred, Exec{Workers: 8})
 		if parErr == nil {
 			t.Fatal("expected parallel error")
 		}
@@ -448,6 +446,7 @@ func negZero() float64 {
 // as null from its materialized slot, exactly as the interpreter's
 // per-reference evaluation reports it.
 func TestMaterializedComputedMatchesInterpreted(t *testing.T) {
+	ctx := context.Background()
 	r := bigRelation(t, 400)
 	// c1 over stored columns, c2 over c1, broken dividing by zero for
 	// every row (a computed definition error evaluates to null).
@@ -470,14 +469,11 @@ func TestMaterializedComputedMatchesInterpreted(t *testing.T) {
 	}
 	for _, src := range preds {
 		pred := expr.MustParse(src)
-		compiled, err := Restrict(r, pred)
+		compiled, err := Restrict(r, pred, Exec{})
 		if err != nil {
 			t.Fatalf("compiled restrict %q: %v", src, err)
 		}
-		var interpreted *Relation
-		withInterpreter(t, func() {
-			interpreted, err = Restrict(r, pred)
-		})
+		interpreted, err := Restrict(r, pred, Exec{Path: PathInterp})
 		if err != nil {
 			t.Fatalf("interpreted restrict %q: %v", src, err)
 		}
@@ -494,25 +490,23 @@ func TestMaterializedComputedMatchesInterpreted(t *testing.T) {
 		{Project: []string{"id", "grp", "val"}},
 		{Pred: expr.MustParse("c1 + c2 < 900.0 and c1 * 2.0 > -100.0")},
 	}
-	res, err := FusedScan(r, ops, 1)
+	res, err := FusedScan(ctx, r, ops, Exec{Workers: 1})
 	if err != nil {
 		t.Fatalf("fused scan: %v", err)
 	}
-	var want *Relation
-	withInterpreter(t, func() {
-		s1, err := Restrict(r, ops[0].Pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := Project(s1, ops[1].Project)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err = Restrict(s2, ops[2].Pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
+	interp := Exec{Path: PathInterp}
+	s1, err := Restrict(r, ops[0].Pred, interp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Project(s1, ops[1].Project)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Restrict(s2, ops[2].Pred, interp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got, wantFP := relFingerprint(t, res.Out), relFingerprint(t, want); got != wantFP {
 		t.Errorf("fused scan differs:\n  compiled    %.120s\n  interpreted %.120s", got, wantFP)
 	}

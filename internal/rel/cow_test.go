@@ -136,7 +136,7 @@ func TestCowCloneComputedIndependent(t *testing.T) {
 
 func TestCowClonePreservesProvenance(t *testing.T) {
 	orig := cowRel(t)
-	sub, err := Restrict(orig, expr.MustParse("id >= 4"))
+	sub, err := Restrict(orig, expr.MustParse("id >= 4"), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

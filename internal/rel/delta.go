@@ -91,7 +91,7 @@ func countAppends(d *TupleDelta) int {
 // oldOut is never mutated: appends extend past its length (invisible to
 // holders of the old slice header, the same discipline as the CoW table
 // append path) and in-place row replacements copy the outer slice first.
-func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *TupleDelta) (*FusedResult, *TupleDelta, bool, error) {
+func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *TupleDelta, x Exec) (*FusedResult, *TupleDelta, bool, error) {
 	if len(ops) == 0 || newIn == nil || oldOut == nil {
 		return nil, nil, false, nil
 	}
@@ -101,7 +101,7 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 	if newIn.provBase != nil || oldOut.provBase == nil {
 		return nil, nil, false, nil
 	}
-	sh, err := fusedShapePass(ctx, newIn, ops)
+	sh, err := fusedShapePass(ctx, newIn, ops, x)
 	if err != nil {
 		// The full chain would fail the same way; let the refire surface
 		// it with standard step attribution.
@@ -266,7 +266,7 @@ func (s *JoinState) sides(ptup, btup []types.Value) (lt, rt []types.Value) {
 // to recover which (probe, build) pair produced each output row and
 // requires exact agreement with the memo; any join a hash strategy would
 // not have handled — no equi-conjunct, predicate errors — reports !ok.
-func BuildJoinState(oldL, oldR, oldOut *Relation, pred expr.Node) (*JoinState, bool) {
+func BuildJoinState(oldL, oldR, oldOut *Relation, pred expr.Node, x Exec) (*JoinState, bool) {
 	if oldL == nil || oldR == nil || oldOut == nil || pred == nil {
 		return nil, false
 	}
@@ -291,7 +291,7 @@ func BuildJoinState(oldL, oldR, oldOut *Relation, pred expr.Node) (*JoinState, b
 	s := &JoinState{
 		pred:  pred,
 		shell: shell,
-		cp:    shell.compilePredicate(pred),
+		cp:    shell.compilePredicate(pred, x),
 		env:   &scratchEnv{rel: shell},
 		li:    li,
 		ri:    ri,

@@ -76,7 +76,7 @@ func TestFusedDeltaDifferential(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cur := randomRelation(30, seed)
-		res, err := fusedScan(ctx, cur, ops, 0)
+		res, err := fusedScan(ctx, cur, ops, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +92,11 @@ func TestFusedDeltaDifferential(t *testing.T) {
 				d.Ops = append(d.Ops, op)
 			}
 			cur = next
-			inc, outDelta, ok, err := FusedDelta(ctx, cur, memo, ops, &d)
+			inc, outDelta, ok, err := FusedDelta(ctx, cur, memo, ops, &d, Exec{})
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
-			full, err := fusedScan(ctx, cur, ops, 0)
+			full, err := fusedScan(ctx, cur, ops, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestFusedDeltaMembershipFlipFallback(t *testing.T) {
 			types.NewInt(int64(i)), types.NewFloat(float64(i) - 2), types.NewText("x"),
 		})
 	}
-	res, err := fusedScan(ctx, r, ops, 0)
+	res, err := fusedScan(ctx, r, ops, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestFusedDeltaMembershipFlipFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := &TupleDelta{Ops: []DeltaOp{{Kind: DeltaUpdate, Row: 1, Tuple: nt.Tuple(1), Old: old}}}
-	if _, _, ok, err := FusedDelta(ctx, nt, res.Out, ops, d); err != nil || ok {
+	if _, _, ok, err := FusedDelta(ctx, nt, res.Out, ops, d, Exec{}); err != nil || ok {
 		t.Fatalf("membership flip: ok=%v err=%v, want fallback", ok, err)
 	}
 	// A non-flipping update on the same row applies.
@@ -164,11 +164,11 @@ func TestFusedDeltaMembershipFlipFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2 := &TupleDelta{Ops: []DeltaOp{{Kind: DeltaUpdate, Row: 2, Tuple: nt2.Tuple(2), Old: old2}}}
-	inc, _, ok, err := FusedDelta(ctx, nt2, res.Out, ops, d2)
+	inc, _, ok, err := FusedDelta(ctx, nt2, res.Out, ops, d2, Exec{})
 	if err != nil || !ok {
 		t.Fatalf("in-place update: ok=%v err=%v, want applied", ok, err)
 	}
-	full, err := fusedScan(ctx, nt2, ops, 0)
+	full, err := fusedScan(ctx, nt2, ops, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFusedDeltaDoesNotMutateMemo(t *testing.T) {
 	ctx := context.Background()
 	ops := []FusedOp{{Pred: expr.MustParse("v > 0.0")}}
 	r := randomRelation(20, 7)
-	res, err := fusedScan(ctx, r, ops, 0)
+	res, err := fusedScan(ctx, r, ops, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +196,12 @@ func TestFusedDeltaDoesNotMutateMemo(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(step)))
 		next, op := randomMutation(rng, cur)
 		cur = next
-		inc, _, ok, err := FusedDelta(ctx, cur, memo, ops, &TupleDelta{Ops: []DeltaOp{op}})
+		inc, _, ok, err := FusedDelta(ctx, cur, memo, ops, &TupleDelta{Ops: []DeltaOp{op}}, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
-			full, err := fusedScan(ctx, cur, ops, 0)
+			full, err := fusedScan(ctx, cur, ops, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,11 +291,11 @@ func TestJoinStateDifferential(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		l, r := joinFixtures(seed, seed+100, 25, 20)
-		out, err := Join(l, r, pred, JoinHash)
+		out, err := Join(l, r, pred, JoinHash, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		state, ok := BuildJoinState(l, r, out, pred)
+		state, ok := BuildJoinState(l, r, out, pred, Exec{})
 		if !ok {
 			t.Fatalf("seed %d: BuildJoinState declined", seed)
 		}
@@ -313,7 +313,7 @@ func TestJoinStateDifferential(t *testing.T) {
 					dr.Ops = append(dr.Ops, op)
 				}
 			}
-			full, err := Join(l, r, pred, JoinHash)
+			full, err := Join(l, r, pred, JoinHash, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,7 +327,7 @@ func TestJoinStateDifferential(t *testing.T) {
 			newOut, _, ok := state.Apply(l, r, dlp, drp)
 			if !ok {
 				fallbacks++
-				state, ok = BuildJoinState(l, r, full, pred)
+				state, ok = BuildJoinState(l, r, full, pred, Exec{})
 				if !ok {
 					t.Fatalf("seed %d step %d: rebuild declined", seed, step)
 				}
@@ -347,11 +347,11 @@ func TestJoinStateDifferential(t *testing.T) {
 func TestJoinStateBuildUpdateFallback(t *testing.T) {
 	pred := expr.MustParse("k = k2")
 	l, r := joinFixtures(3, 103, 20, 10) // r smaller → r is the build side
-	out, err := Join(l, r, pred, JoinHash)
+	out, err := Join(l, r, pred, JoinHash, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, ok := BuildJoinState(l, r, out, pred)
+	state, ok := BuildJoinState(l, r, out, pred, Exec{})
 	if !ok {
 		t.Fatal("BuildJoinState declined")
 	}

@@ -124,20 +124,13 @@ func (m *mappedCursor) AttrValue(name string) (types.Value, bool) {
 	return types.Null, false
 }
 
-// FusedScan runs the pipeline over r with up to workers scan workers
-// (0 inherits the package scan-worker setting). Errors carry the failing
-// step as a *FusedStepError.
-func FusedScan(r *Relation, ops []FusedOp, workers int) (*FusedResult, error) {
-	return FusedScanCtx(context.Background(), r, ops, workers)
-}
-
-// FusedScanCtx is FusedScan attributed to the request carried by ctx:
-// the scan records a rel.fused_scan span (parented under the firing that
-// invoked it) with a rel.compile.pass child covering the shape-check and
-// predicate-compilation phase. The compile pass runs — and so records —
-// in both the compiled and interpreted modes, keeping trace structure
-// identical across the ablation.
-func FusedScanCtx(ctx context.Context, r *Relation, ops []FusedOp, workers int) (*FusedResult, error) {
+// FusedScan runs the pipeline over r under x. Errors carry the failing
+// step as a *FusedStepError. The scan records a rel.fused_scan span
+// (parented under the span ctx carries) with a rel.compile.pass child
+// covering the shape-check and predicate-compilation phase. The compile
+// pass runs — and so records — on every path, keeping trace structure
+// identical across them.
+func FusedScan(ctx context.Context, r *Relation, ops []FusedOp, x Exec) (*FusedResult, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("rel: fused scan: empty pipeline")
 	}
@@ -146,7 +139,7 @@ func FusedScanCtx(ctx context.Context, r *Relation, ops []FusedOp, workers int) 
 		ctx, sp = obs.StartSpanCtx(ctx, obs.SpanRelFusedScan,
 			"steps", strconv.Itoa(len(ops)), "rows_in", strconv.Itoa(r.Len()))
 	}
-	res, err := fusedScan(ctx, r, ops, workers)
+	res, err := fusedScan(ctx, r, ops, x)
 	if err == nil {
 		sp.Annotate("rows_out", strconv.Itoa(len(res.Out.tuples)))
 	}
@@ -174,7 +167,7 @@ type fusedShape struct {
 // column its ordinal in r's tuples. Checking and compiling happen here,
 // once, in step order — the same order the unfused chain would report a
 // bad predicate or projection in.
-func fusedShapePass(ctx context.Context, r *Relation, ops []FusedOp) (*fusedShape, error) {
+func fusedShapePass(ctx context.Context, r *Relation, ops []FusedOp, x Exec) (*fusedShape, error) {
 	shape := &Relation{schema: r.schema, computed: r.computed}
 	colMap := make([]int, r.schema.Len())
 	for i := range colMap {
@@ -194,7 +187,7 @@ func fusedShapePass(ctx context.Context, r *Relation, ops []FusedOp) (*fusedShap
 		// predicate references, evaluated once per source row and shared by
 		// all steps (compiled predicates read the extended slots instead of
 		// re-walking the definitions per reference).
-		if !compileOff.Load() {
+		if x.compiles() {
 			var prednodes []expr.Node
 			for _, op := range ops {
 				if op.Pred != nil {
@@ -210,7 +203,7 @@ func fusedShapePass(ctx context.Context, r *Relation, ops []FusedOp) (*fusedShap
 					return &FusedStepError{Step: i, Err: err}
 				}
 				fp := &fusedPred{step: i, node: op.Pred, shape: shape, colMap: colMap}
-				if !compileOff.Load() {
+				if x.compiles() {
 					if cp, err := expr.CompilePredicate(op.Pred, mappedScope{shape: shape, colMap: colMap, mat: mat}); err == nil {
 						obs.Inc(obs.RelCompile)
 						fp.compiled = cp
@@ -298,8 +291,8 @@ func (sh *fusedShape) projectRow(tup []types.Value) []types.Value {
 	return nt
 }
 
-func fusedScan(ctx context.Context, r *Relation, ops []FusedOp, workers int) (*FusedResult, error) {
-	sh, err := fusedShapePass(ctx, r, ops)
+func fusedScan(ctx context.Context, r *Relation, ops []FusedOp, x Exec) (*FusedResult, error) {
+	sh, err := fusedShapePass(ctx, r, ops, x)
 	if err != nil {
 		return nil, err
 	}
@@ -311,12 +304,12 @@ func fusedScan(ctx context.Context, r *Relation, ops []FusedOp, workers int) (*F
 	// concatenating their keep-lists reproduces the serial row order.
 	obs.Inc(obs.RelFusedScans)
 	n := r.Len()
-	rows, kernOK, err := kernelFusedRows(r, sh, workers)
+	rows, kernOK, err := kernelFusedRows(r, sh, x)
 	if err != nil {
 		return nil, err
 	}
 	if !kernOK {
-		chunks := scanChunks(n, workers)
+		chunks := x.chunks(n)
 		chunkRows := make([][]int, chunks)
 		err = runChunks(n, chunks, func(c, lo, hi int) error {
 			keep := make([]int, 0, (hi-lo)/4+8)

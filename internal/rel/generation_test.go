@@ -100,7 +100,7 @@ func TestDerivedRelationsGetFreshGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Restrict(r, pred)
+	d, err := Restrict(r, pred, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package rel
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -51,20 +50,6 @@ import (
 // inline their definitions recursively with a per-chunk memo, and an
 // error inside a definition forces that row's attribute to null — the
 // same swallowing Row.AttrValue and the closure compiler perform.
-
-// columnarOff is the kernel's ablation knob, independent of compileOff:
-// the benchmark baseline runs with compilation on and the columnar
-// kernel off to measure exactly the chunk-kernel contribution.
-var columnarOff atomic.Bool
-
-// SetColumnarDisabled turns the columnar chunk kernels off (true) or on
-// (false) process-wide and returns the previous setting. With kernels
-// off every scan takes the row-at-a-time path — the ablation baseline
-// for the columnar_scan benchmark.
-func SetColumnarDisabled(off bool) bool { return columnarOff.Swap(off) }
-
-// ColumnarDisabled reports whether the columnar kernels are disabled.
-func ColumnarDisabled() bool { return columnarOff.Load() }
 
 // kernelMinRows is the row count below which a row-major relation is
 // not worth encoding into a columnar view for one scan.
@@ -760,11 +745,10 @@ func (c *kernCompiler) textEq(neq bool, lf, rf kfn) kfn {
 // ---------------------------------------------------------------------
 // Drivers.
 
-// kernelEligible gates kernel use: kernels are a compiled fast path
-// (compileOff ablates them with the rest), columnarOff ablates them
-// alone, and small row-major relations are not worth encoding.
-func kernelEligible(r *Relation) bool {
-	if columnarOff.Load() || compileOff.Load() {
+// kernelEligible gates kernel use: only PathAuto runs kernels, and small
+// row-major relations are not worth encoding.
+func kernelEligible(r *Relation, x Exec) bool {
+	if !x.kernels() {
 		return false
 	}
 	n := r.Len()
@@ -779,13 +763,13 @@ func kernelEligible(r *Relation) bool {
 
 // kernelRestrictRows evaluates pred over r with the columnar kernel,
 // returning the surviving rows in ascending order. ok=false means the
-// kernel declined (ablation, small input, or unsupported node) and the
+// kernel declined (x's path, small input, or unsupported node) and the
 // caller must use the row path. Rows flagged by the kernel's error
 // bitmap re-evaluate row-wise in ascending order through cp (or the
 // interpreter), reproducing the exact error and its serial-scan
 // position; errors return unwrapped for the caller to prefix.
-func kernelRestrictRows(r *Relation, pred expr.Node, cp *compiledPred) ([]int, bool, error) {
-	if !kernelEligible(r) {
+func kernelRestrictRows(r *Relation, pred expr.Node, cp *compiledPred, x Exec) ([]int, bool, error) {
+	if !kernelEligible(r, x) {
 		return nil, false, nil
 	}
 	cs := r.columnar()
@@ -795,7 +779,7 @@ func kernelRestrictRows(r *Relation, pred expr.Node, cp *compiledPred) ([]int, b
 	}
 	obs.Inc(obs.RelKernelScans)
 	nchunks := len(cs.slots)
-	workers := scanChunks(r.Len(), 0)
+	workers := x.chunks(r.Len())
 	if workers > nchunks {
 		workers = nchunks
 	}
@@ -880,8 +864,8 @@ func kernelRestrictRows(r *Relation, pred expr.Node, cp *compiledPred) ([]int, b
 // and error rows re-evaluate row-wise through sh.evalRow in ascending
 // order, preserving exact step attribution. ok=false declines to the
 // row path. Every pipeline step must kernel-compile, or none runs.
-func kernelFusedRows(r *Relation, sh *fusedShape, workers int) ([]int, bool, error) {
-	if !kernelEligible(r) || len(sh.preds) == 0 {
+func kernelFusedRows(r *Relation, sh *fusedShape, x Exec) ([]int, bool, error) {
+	if !kernelEligible(r, x) || len(sh.preds) == 0 {
 		return nil, false, nil
 	}
 	cs := r.columnar()
@@ -896,7 +880,7 @@ func kernelFusedRows(r *Relation, sh *fusedShape, workers int) ([]int, bool, err
 	}
 	obs.Inc(obs.RelKernelScans)
 	nchunks := len(cs.slots)
-	w := scanChunks(r.Len(), workers)
+	w := x.chunks(r.Len())
 	if w > nchunks {
 		w = nchunks
 	}

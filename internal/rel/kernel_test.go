@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -10,15 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/types"
 )
-
-// withColumnarOff runs fn with the columnar kernel disabled (compilation
-// stays on), restoring the knob afterwards.
-func withColumnarOff(t testing.TB, fn func()) {
-	t.Helper()
-	prev := SetColumnarDisabled(true)
-	defer SetColumnarDisabled(prev)
-	fn()
-}
 
 // kernelRelation builds a relation above the kernel's row threshold with
 // every storable kind, nulls in every column, zero divisors, NaN floats,
@@ -135,7 +127,7 @@ func TestKernelRestrictMatchesRowPaths(t *testing.T) {
 	for _, tc := range kernelPreds {
 		pred := expr.MustParse(tc.src)
 		before := obs.CounterValue(obs.RelKernelScans)
-		got, err := Restrict(r, pred)
+		got, err := Restrict(r, pred, Exec{})
 		if err != nil {
 			t.Fatalf("kernel restrict %q: %v", tc.src, err)
 		}
@@ -143,16 +135,11 @@ func TestKernelRestrictMatchesRowPaths(t *testing.T) {
 		if ran != tc.kernel {
 			t.Errorf("restrict %q: kernel ran=%v, want %v", tc.src, ran, tc.kernel)
 		}
-		var rowPath, interp *Relation
-		withColumnarOff(t, func() {
-			rowPath, err = Restrict(r, pred)
-		})
+		rowPath, err := Restrict(r, pred, Exec{Path: PathRow})
 		if err != nil {
 			t.Fatalf("compiled restrict %q: %v", tc.src, err)
 		}
-		withInterpreter(t, func() {
-			interp, err = Restrict(r, pred)
-		})
+		interp, err := Restrict(r, pred, Exec{Path: PathInterp})
 		if err != nil {
 			t.Fatalf("interpreted restrict %q: %v", tc.src, err)
 		}
@@ -174,14 +161,11 @@ func TestKernelChunkBackedMatches(t *testing.T) {
 	cb := asChunkBacked(t, row, 256)
 	for _, tc := range kernelPreds {
 		pred := expr.MustParse(tc.src)
-		got, err := Restrict(cb, pred)
+		got, err := Restrict(cb, pred, Exec{})
 		if err != nil {
 			t.Fatalf("chunk-backed restrict %q: %v", tc.src, err)
 		}
-		var want *Relation
-		withInterpreter(t, func() {
-			want, err = Restrict(row, pred)
-		})
+		want, err := Restrict(row, pred, Exec{Path: PathInterp})
 		if err != nil {
 			t.Fatalf("interpreted restrict %q: %v", tc.src, err)
 		}
@@ -207,13 +191,12 @@ func TestKernelErrorParity(t *testing.T) {
 	r := kernelRelation(t, 2*DefaultChunkRows+50)
 	for _, src := range []string{"a / b > 0", "a % b = 0", "y / 0.0 > 1.0", "a > 1 / 0"} {
 		pred := expr.MustParse(src)
-		_, kerr := Restrict(r, pred)
+		_, kerr := Restrict(r, pred, Exec{})
 		if kerr == nil {
 			t.Fatalf("restrict %q: kernel path did not error", src)
 		}
-		var cerr, ierr error
-		withColumnarOff(t, func() { _, cerr = Restrict(r, pred) })
-		withInterpreter(t, func() { _, ierr = Restrict(r, pred) })
+		_, cerr := Restrict(r, pred, Exec{Path: PathRow})
+		_, ierr := Restrict(r, pred, Exec{Path: PathInterp})
 		if cerr == nil || ierr == nil {
 			t.Fatalf("restrict %q: row paths did not error", src)
 		}
@@ -228,6 +211,7 @@ func TestKernelErrorParity(t *testing.T) {
 // kernel-off fused scan and to the unfused interpreted chain, over both
 // row-major and chunk-backed sources.
 func TestKernelFusedMatchesChain(t *testing.T) {
+	ctx := context.Background()
 	r := kernelRelation(t, 2*DefaultChunkRows+123)
 	cb := asChunkBacked(t, r, 512)
 	pipelines := [][]FusedOp{
@@ -250,38 +234,34 @@ func TestKernelFusedMatchesChain(t *testing.T) {
 	}
 	for pi, ops := range pipelines {
 		before := obs.CounterValue(obs.RelKernelScans)
-		res, err := FusedScan(r, ops, 4)
+		res, err := FusedScan(ctx, r, ops, Exec{Workers: 4})
 		if err != nil {
 			t.Fatalf("pipeline %d fused: %v", pi, err)
 		}
 		t.Logf("pipeline %d: kernel scans +%d", pi, obs.CounterValue(obs.RelKernelScans)-before)
-		var off *FusedResult
-		withColumnarOff(t, func() { off, err = FusedScan(r, ops, 4) })
+		off, err := FusedScan(ctx, r, ops, Exec{Path: PathRow, Workers: 4})
 		if err != nil {
 			t.Fatalf("pipeline %d fused (kernel off): %v", pi, err)
 		}
 		if relFingerprint(t, res.Out) != relFingerprint(t, off.Out) {
 			t.Errorf("pipeline %d: fused kernel differs from row path", pi)
 		}
-		var want *Relation
-		withInterpreter(t, func() {
-			want = r
-			for _, op := range ops {
-				if op.Pred != nil {
-					want, err = Restrict(want, op.Pred)
-				} else {
-					want, err = Project(want, op.Project)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+		want := r
+		for _, op := range ops {
+			if op.Pred != nil {
+				want, err = Restrict(want, op.Pred, Exec{Path: PathInterp})
+			} else {
+				want, err = Project(want, op.Project)
 			}
-		})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 		if relFingerprint(t, res.Out) != relFingerprint(t, want) {
 			t.Errorf("pipeline %d: fused kernel differs from interpreted chain", pi)
 		}
 
-		cres, err := FusedScan(cb, ops, 4)
+		cres, err := FusedScan(ctx, cb, ops, Exec{Workers: 4})
 		if err != nil {
 			t.Fatalf("pipeline %d chunk-backed fused: %v", pi, err)
 		}
@@ -296,6 +276,7 @@ func TestKernelFusedMatchesChain(t *testing.T) {
 // kernel ignores vector-lane errors on rows already deselected, exactly
 // like the row-at-a-time short circuit.
 func TestKernelFusedErrorAttribution(t *testing.T) {
+	ctx := context.Background()
 	r := New("F", MustSchema(Column{Name: "v", Kind: types.Int}))
 	for i := 0; i < 2*DefaultChunkRows; i++ {
 		r.MustAppend([]types.Value{types.NewInt(int64(i))})
@@ -310,25 +291,23 @@ func TestKernelFusedErrorAttribution(t *testing.T) {
 	if target != 4196 {
 		t.Fatalf("test constant drift: target=%d", target)
 	}
-	_, err := FusedScan(r, ops, 4)
+	_, err := FusedScan(ctx, r, ops, Exec{Workers: 4})
 	var se *FusedStepError
 	if err == nil || !errors.As(err, &se) || se.Step != 1 {
 		t.Fatalf("kernel fused error %v not attributed to step 1", err)
 	}
-	var offErr error
-	withColumnarOff(t, func() { _, offErr = FusedScan(r, ops, 4) })
+	_, offErr := FusedScan(ctx, r, ops, Exec{Path: PathRow, Workers: 4})
 	if offErr == nil || err.Error() != offErr.Error() {
 		t.Fatalf("kernel fused error %q differs from row path %q", err, offErr)
 	}
 
 	// Deselect the row at step 0 instead: no error anywhere.
 	ops[0] = FusedOp{Pred: expr.MustParse("v % 2 = 1")}
-	res, err := FusedScan(r, ops, 4)
+	res, err := FusedScan(ctx, r, ops, Exec{Workers: 4})
 	if err != nil {
 		t.Fatalf("deselected erroring row still raised: %v", err)
 	}
-	var off *FusedResult
-	withColumnarOff(t, func() { off, offErr = FusedScan(r, ops, 4) })
+	off, offErr := FusedScan(ctx, r, ops, Exec{Path: PathRow, Workers: 4})
 	if offErr != nil {
 		t.Fatal(offErr)
 	}
@@ -344,13 +323,13 @@ func TestKernelFallbackCounter(t *testing.T) {
 	defer obs.SetEnabled(false)
 	r := kernelRelation(t, DefaultChunkRows+10)
 	before := obs.CounterValue(obs.RelKernelFallback)
-	if _, err := Restrict(r, expr.MustParse("a + 1 > 0")); err != nil {
+	if _, err := Restrict(r, expr.MustParse("a + 1 > 0"), Exec{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.CounterValue(obs.RelKernelFallback); got != before {
 		t.Fatalf("clean scan advanced fallback counter by %d", got-before)
 	}
-	_, err := Restrict(r, expr.MustParse("a / b > 0")) // errors at first b=0
+	_, err := Restrict(r, expr.MustParse("a / b > 0"), Exec{}) // errors at first b=0
 	if err == nil {
 		t.Fatal("expected zero-divisor error")
 	}

@@ -51,8 +51,8 @@ func Project(r *Relation, names []string) (*Relation, error) {
 // Restrict filters a relation to tuples satisfying a predicate (Figure 3).
 // When the predicate is a simple comparison on an indexed stored column,
 // the index is scanned instead of the heap; otherwise every row is
-// evaluated.
-func Restrict(r *Relation, pred expr.Node) (*Relation, error) {
+// evaluated on the path x selects.
+func Restrict(r *Relation, pred expr.Node, x Exec) (*Relation, error) {
 	if err := expr.CheckPredicate(pred, r); err != nil {
 		return nil, err
 	}
@@ -77,8 +77,8 @@ func Restrict(r *Relation, pred expr.Node) (*Relation, error) {
 	obs.Inc(obs.RelRestrictScans)
 	n := r.Len()
 	var rows []int
-	cp := r.compilePredicate(pred)
-	if kr, ok, err := kernelRestrictRows(r, pred, cp); err != nil {
+	cp := r.compilePredicate(pred, x)
+	if kr, ok, err := kernelRestrictRows(r, pred, cp, x); err != nil {
 		return nil, fmt.Errorf("rel: restrict: %w", err)
 	} else if ok {
 		// Columnar kernel scan: monomorphic loops over contiguous
@@ -89,7 +89,7 @@ func Restrict(r *Relation, pred expr.Node) (*Relation, error) {
 		// Compiled scan, chunk-parallel above the row threshold. Chunks
 		// are contiguous and concatenated in order, so the output is
 		// deterministic regardless of worker count.
-		chunks := scanChunks(n, 0)
+		chunks := x.chunks(n)
 		chunkRows := make([][]int, chunks)
 		err := runChunks(n, chunks, func(c, lo, hi int) error {
 			keep := make([]int, 0, (hi-lo)/4+8)
@@ -327,7 +327,7 @@ func joinShape(l, r *Relation) (*Relation, map[string]string, error) {
 // disambiguated by suffixing r's columns with "_r" (and the predicate sees
 // the disambiguated names). Computed attributes of both inputs are carried
 // over where their references survive.
-func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy) (*Relation, error) {
+func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy, x Exec) (*Relation, error) {
 	out, rRename, err := joinShape(l, r)
 	if err != nil {
 		return nil, err
@@ -337,10 +337,10 @@ func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy) (*Relation, err
 		return nil, fmt.Errorf("rel: join predicate: %w", err)
 	}
 
-	// The residual predicate runs compiled when possible, and either way
+	// The residual predicate runs compiled when x allows, and either way
 	// over one scratch tuple reused across every candidate pair; only
 	// kept pairs allocate an output tuple.
-	cp := out.compilePredicate(pred)
+	cp := out.compilePredicate(pred, x)
 	lw, rw := l.schema.Len(), r.schema.Len()
 	scratch := make([]types.Value, 0, lw+rw)
 	var matScratch []types.Value
@@ -674,7 +674,7 @@ func Union(rels ...*Relation) (*Relation, error) {
 // decided by the first predicate that matches (tuples matching none are
 // dropped). This is the relational engine beneath Replicate (Section 7.4)
 // and the multi-output Partition box.
-func Partition(r *Relation, preds []expr.Node) ([]*Relation, error) {
+func Partition(r *Relation, preds []expr.Node, x Exec) ([]*Relation, error) {
 	outs := make([]*Relation, len(preds))
 	for i, p := range preds {
 		if err := expr.CheckPredicate(p, r); err != nil {
@@ -684,7 +684,7 @@ func Partition(r *Relation, preds []expr.Node) ([]*Relation, error) {
 	}
 	cps := make([]*compiledPred, len(preds))
 	for i, p := range preds {
-		cps[i] = r.compilePredicate(p) // nil falls back to the interpreter
+		cps[i] = r.compilePredicate(p, x) // nil falls back to the interpreter
 	}
 	rows := make([][]int, len(preds))
 	cur := newRowCursor(r)
@@ -722,7 +722,7 @@ func Partition(r *Relation, preds []expr.Node) ([]*Relation, error) {
 // MapColumn materializes a stored column from an expression evaluated per
 // tuple, the engine beneath Set/Scale/Translate Attribute applied to a
 // stored attribute. The column's kind follows the expression's type.
-func MapColumn(r *Relation, col string, def expr.Node) (*Relation, error) {
+func MapColumn(r *Relation, col string, def expr.Node, x Exec) (*Relation, error) {
 	ci := r.schema.Index(col)
 	if ci < 0 {
 		return nil, fmt.Errorf("rel: map column: no stored column %q", col)
@@ -741,11 +741,11 @@ func MapColumn(r *Relation, col string, def expr.Node) (*Relation, error) {
 	n := r.Len()
 	out.tuples = make([][]types.Value, n)
 	rows := make([]int, n)
-	if ce := r.compileExpr(def); ce != nil {
+	if ce := r.compileExpr(def, x); ce != nil {
 		// Compiled materialization, chunk-parallel above the row
 		// threshold: chunks write disjoint index ranges of the
 		// preallocated output, so order is deterministic by construction.
-		chunks := scanChunks(n, 0)
+		chunks := x.chunks(n)
 		err := runChunks(n, chunks, func(c, lo, hi int) error {
 			var scratch []types.Value
 			rd := r.reader()

@@ -35,7 +35,7 @@ func TestRestrictSoundComplete(t *testing.T) {
 	pred := expr.MustParse("v > 0.0 and k < 25")
 	f := func(seed int64, size uint8) bool {
 		r := randomRelation(int(size), seed)
-		out, err := Restrict(r, pred)
+		out, err := Restrict(r, pred, Exec{})
 		if err != nil {
 			return false
 		}
@@ -72,7 +72,7 @@ func TestPartitionDisjointComplete(t *testing.T) {
 	}
 	f := func(seed int64, size uint8) bool {
 		r := randomRelation(int(size), seed)
-		parts, err := Partition(r, preds)
+		parts, err := Partition(r, preds, Exec{})
 		if err != nil {
 			return false
 		}
@@ -155,8 +155,8 @@ func TestJoinStrategiesAgree(t *testing.T) {
 				types.NewFloat(rng.Float64()),
 			})
 		}
-		h, err1 := Join(a, b, pred, JoinHash)
-		n, err2 := Join(a, b, pred, JoinNestedLoop)
+		h, err1 := Join(a, b, pred, JoinHash, Exec{})
+		n, err2 := Join(a, b, pred, JoinNestedLoop, Exec{})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -184,8 +184,8 @@ func TestIndexedRestrictMatchesScan(t *testing.T) {
 				L:  &expr.Ref{Name: "k"},
 				R:  &expr.Lit{Val: types.NewInt(bound)},
 			}
-			a, err1 := Restrict(scanRel, pred)
-			b, err2 := Restrict(idxRel, pred)
+			a, err1 := Restrict(scanRel, pred, Exec{})
+			b, err2 := Restrict(idxRel, pred, Exec{})
 			if err1 != nil || err2 != nil || a.Len() != b.Len() {
 				return false
 			}
@@ -201,7 +201,7 @@ func TestIndexedRestrictMatchesScan(t *testing.T) {
 func TestProvenanceProperty(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		r := randomRelation(int(size)%50+5, seed)
-		restricted, err := Restrict(r, expr.MustParse("v > -10.0"))
+		restricted, err := Restrict(r, expr.MustParse("v > -10.0"), Exec{})
 		if err != nil {
 			return false
 		}

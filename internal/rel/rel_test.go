@@ -184,7 +184,7 @@ func TestProject(t *testing.T) {
 
 func TestRestrict(t *testing.T) {
 	r := testRelation(t)
-	out, err := Restrict(r, expr.MustParse("salary > 5000"))
+	out, err := Restrict(r, expr.MustParse("salary > 5000"), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +197,10 @@ func TestRestrict(t *testing.T) {
 		}
 	}
 	// Type errors rejected up front.
-	if _, err := Restrict(r, expr.MustParse("salary + 1")); err == nil {
+	if _, err := Restrict(r, expr.MustParse("salary + 1"), Exec{}); err == nil {
 		t.Error("non-bool predicate accepted")
 	}
-	if _, err := Restrict(r, expr.MustParse("nosuch = 1")); err == nil {
+	if _, err := Restrict(r, expr.MustParse("nosuch = 1"), Exec{}); err == nil {
 		t.Error("unknown attr accepted")
 	}
 	// Null predicate results drop the tuple.
@@ -208,7 +208,7 @@ func TestRestrict(t *testing.T) {
 		types.NewInt(6), types.NewText("fred"), types.NewText("ops"),
 		types.Null, types.DateYMD(1990, 1, 1),
 	})
-	out, err = Restrict(r, expr.MustParse("salary > 0"))
+	out, err = Restrict(r, expr.MustParse("salary > 0"), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,12 +223,12 @@ func TestRestrictUsesIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, src := range []string{"salary = 5200.0", "salary < 5000.0", "salary >= 5200.0", "4500.0 >= salary"} {
-		out, err := Restrict(r, expr.MustParse(src))
+		out, err := Restrict(r, expr.MustParse(src), Exec{})
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
 		// Cross-check against a scan on the unindexed clone.
-		scan, err := Restrict(testRelation(t), expr.MustParse(src))
+		scan, err := Restrict(testRelation(t), expr.MustParse(src), Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestJoin(t *testing.T) {
 
 	pred := expr.MustParse("dept = dept_r")
 	for _, strat := range []JoinStrategy{JoinAuto, JoinHash, JoinNestedLoop} {
-		out, err := Join(emp, dept, pred, strat)
+		out, err := Join(emp, dept, pred, strat, Exec{})
 		if err != nil {
 			t.Fatalf("strategy %d: %v", strat, err)
 		}
@@ -290,14 +290,14 @@ func TestJoin(t *testing.T) {
 
 	// Theta join falls back to nested loop under auto.
 	theta := expr.MustParse("salary > 5000.0 and floor = 1")
-	out, err := Join(emp, dept, theta, JoinAuto)
+	out, err := Join(emp, dept, theta, JoinAuto, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 3 { // 3 emps over 5000 x the single floor-1 dept
 		t.Fatalf("theta join = %d tuples, want 3", out.Len())
 	}
-	if _, err := Join(emp, dept, theta, JoinHash); err == nil {
+	if _, err := Join(emp, dept, theta, JoinHash, Exec{}); err == nil {
 		t.Error("hash join accepted a non-equi predicate")
 	}
 }
@@ -352,7 +352,7 @@ func TestPartition(t *testing.T) {
 	parts, err := Partition(r, []expr.Node{
 		expr.MustParse("salary <= 5000.0"),
 		expr.MustParse("salary > 5000.0"),
-	})
+	}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestPartition(t *testing.T) {
 	parts, err = Partition(r, []expr.Node{
 		expr.MustParse("true"),
 		expr.MustParse("salary > 0.0"),
-	})
+	}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestUpdateAndIndexMaintenance(t *testing.T) {
 
 func TestMapColumn(t *testing.T) {
 	r := testRelation(t)
-	out, err := MapColumn(r, "salary", expr.MustParse("salary * 2"))
+	out, err := MapColumn(r, "salary", expr.MustParse("salary * 2"), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,14 +433,14 @@ func TestMapColumn(t *testing.T) {
 		t.Errorf("input mutated: %g", got)
 	}
 	// Kind change is allowed and reflected in the schema.
-	out, err = MapColumn(r, "salary", expr.MustParse("str(salary)"))
+	out, err = MapColumn(r, "salary", expr.MustParse("str(salary)"), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k, _ := out.Schema().KindOf("salary"); k != types.Text {
 		t.Errorf("kind after map = %s", k)
 	}
-	if _, err := MapColumn(r, "nosuch", expr.MustParse("1")); err == nil {
+	if _, err := MapColumn(r, "nosuch", expr.MustParse("1"), Exec{}); err == nil {
 		t.Error("missing column accepted")
 	}
 }
@@ -479,7 +479,7 @@ func TestDropColumn(t *testing.T) {
 
 func TestProvenance(t *testing.T) {
 	r := testRelation(t)
-	restricted, err := Restrict(r, expr.MustParse("salary > 5000"))
+	restricted, err := Restrict(r, expr.MustParse("salary > 5000"), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestProvenance(t *testing.T) {
 		t.Fatalf("BaseRow(2) = %s row %d", base.Name(), row)
 	}
 	// Join output has no provenance.
-	j, err := Join(r, r, expr.MustParse("id = id_r"), JoinAuto)
+	j, err := Join(r, r, expr.MustParse("id = id_r"), JoinAuto, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,8 @@ type Builder func(env *core.Environment) (string, error)
 type SessionOption func(*Session)
 
 // WithWorkerBudget caps the number of boxes the session's evaluator
-// fires concurrently within one client frame. Zero or negative leaves
+// fires concurrently within one client frame, and the chunk workers of
+// each scan those firings run. Zero or negative leaves
 // the evaluator default (GOMAXPROCS) in place — see DESIGN §13: the
 // default is unbounded per frame, and a shared server hosting many
 // sessions sets a budget so one client's deep program cannot starve

@@ -35,8 +35,13 @@ const (
 	opPong         = 0xA
 )
 
-// maxWSPayload bounds a single message; canvas frames are far smaller.
+// maxWSPayload bounds a single message the client side reads; canvas
+// frames are far smaller.
 const maxWSPayload = 1 << 26
+
+// maxServerRead bounds a single message the server side reads. Client
+// ops are small JSON, so an unauthenticated peer gets no more.
+const maxServerRead = 64 << 10
 
 // WSConn is one WebSocket connection, either side. Reads must come
 // from a single goroutine; writes are internally serialized, so any
@@ -214,8 +219,8 @@ func (ws *WSConn) ReadMessage() (op byte, payload []byte, err error) {
 			return 0, nil, fmt.Errorf("server: unsupported opcode %#x: %w", frameOp, ErrProtocol)
 		}
 		buffer = append(buffer, data...)
-		if len(buffer) > maxWSPayload {
-			return 0, nil, fmt.Errorf("server: message exceeds %d bytes: %w", maxWSPayload, ErrProtocol)
+		if limit := ws.readLimit(); len(buffer) > limit {
+			return 0, nil, fmt.Errorf("server: message exceeds %d bytes: %w", limit, ErrProtocol)
 		}
 		if fin {
 			return msgOp, buffer, nil
@@ -223,7 +228,16 @@ func (ws *WSConn) ReadMessage() (op byte, payload []byte, err error) {
 	}
 }
 
-// readFrame reads one frame, unmasking if needed.
+// readLimit is the largest message this side of the connection reads.
+func (ws *WSConn) readLimit() int {
+	if ws.client {
+		return maxWSPayload
+	}
+	return maxServerRead
+}
+
+// readFrame reads one frame, unmasking if needed. A frame longer than
+// readLimit fails before its payload buffer is allocated.
 func (ws *WSConn) readFrame() (fin bool, op byte, payload []byte, err error) {
 	var hdr [2]byte
 	if _, err = io.ReadFull(ws.br, hdr[:]); err != nil {
@@ -231,7 +245,7 @@ func (ws *WSConn) readFrame() (fin bool, op byte, payload []byte, err error) {
 	}
 	fin = hdr[0]&0x80 != 0
 	if hdr[0]&0x70 != 0 {
-		return false, 0, nil, fmt.Errorf("server: nonzero reserved bits")
+		return false, 0, nil, fmt.Errorf("server: nonzero reserved bits: %w", ErrProtocol)
 	}
 	op = hdr[0] & 0x0F
 	masked := hdr[1]&0x80 != 0
@@ -250,8 +264,8 @@ func (ws *WSConn) readFrame() (fin bool, op byte, payload []byte, err error) {
 		}
 		length = binary.BigEndian.Uint64(ext[:])
 	}
-	if length > maxWSPayload {
-		return false, 0, nil, fmt.Errorf("server: frame exceeds %d bytes", maxWSPayload)
+	if limit := ws.readLimit(); length > uint64(limit) {
+		return false, 0, nil, fmt.Errorf("server: frame exceeds %d bytes: %w", limit, ErrProtocol)
 	}
 	var mask [4]byte
 	if masked {

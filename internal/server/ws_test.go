@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -45,7 +49,8 @@ func TestWSEchoRoundTrip(t *testing.T) {
 
 	// Small (7-bit length), medium (16-bit), and large (64-bit) payloads
 	// exercise all three header encodings, masked both ways.
-	sizes := []int{0, 1, 125, 126, 4096, 65535, 65536, 1 << 17}
+	// The largest is the server's read cap, which the 64-bit form encodes.
+	sizes := []int{0, 1, 125, 126, 4096, 65535, maxServerRead}
 	for _, n := range sizes {
 		msg := make([]byte, n)
 		for i := range msg {
@@ -194,5 +199,51 @@ func TestAcceptKey(t *testing.T) {
 	want := "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="
 	if got != want {
 		t.Fatalf("acceptKey = %q, want %q", got, want)
+	}
+}
+
+// binaryFrame encodes one unfragmented binary frame header declaring n
+// payload bytes in the 64-bit length form, followed by payload. Masked
+// frames carry a zero key, so payload goes on the wire as is.
+func binaryFrame(n uint64, masked bool, payload []byte) *bufio.Reader {
+	f := []byte{0x80 | OpBinary, 127}
+	if masked {
+		f[1] |= 0x80
+	}
+	f = binary.BigEndian.AppendUint64(f, n)
+	if masked {
+		f = append(f, 0, 0, 0, 0)
+	}
+	return bufio.NewReader(bytes.NewReader(append(f, payload...)))
+}
+
+// The server reads at most maxServerRead bytes per message: a header
+// declaring 1 GiB is a protocol error before any payload buffer is
+// allocated, and so is a message one byte over the cap. The client side
+// keeps the larger maxWSPayload bound for canvas frames.
+func TestWSServerReadCap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := (&WSConn{br: binaryFrame(1<<30, true, nil)}).ReadMessage()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("1 GiB frame header: err = %v, want ErrProtocol", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("1 GiB frame header allocated %d bytes before failing", grew)
+	}
+
+	over := make([]byte, maxServerRead+1)
+	if _, _, err := (&WSConn{br: binaryFrame(uint64(len(over)), true, over)}).ReadMessage(); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("server read past the cap: err = %v, want ErrProtocol", err)
+	}
+	_, got, err := (&WSConn{br: binaryFrame(uint64(len(over)), false, over), client: true}).ReadMessage()
+	if err != nil || len(got) != len(over) {
+		t.Fatalf("client read of %d bytes: got %d, err %v", len(over), len(got), err)
+	}
+
+	rsv := bufio.NewReader(bytes.NewReader([]byte{0xC0 | OpBinary, 0x80, 0, 0, 0, 0}))
+	if _, _, err := (&WSConn{br: rsv}).ReadMessage(); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("reserved bits: err = %v, want ErrProtocol", err)
 	}
 }

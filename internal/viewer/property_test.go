@@ -145,7 +145,7 @@ func TestSliderMatchesRestrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restricted, err := rel.Restrict(e.Rel, expr.MustParse("z >= 2.5 and z <= 7.5"))
+	restricted, err := rel.Restrict(e.Rel, expr.MustParse("z >= 2.5 and z <= 7.5"), rel.Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

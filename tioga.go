@@ -102,25 +102,6 @@ var (
 	WithoutFusion = dataflow.WithoutFusion
 )
 
-// Query fast-path knobs, process-wide. All return the previous setting.
-// The defaults — compilation on, fusion on, scan workers and chunk
-// threshold auto — are what benchmarks and production use; the setters
-// exist for ablation (measuring one layer of the fast path at a time)
-// and for pinning deterministic serial execution in tests.
-var (
-	// SetExprCompileDisabled turns per-row expression compilation off,
-	// falling back to the tree-walking interpreter everywhere.
-	SetExprCompileDisabled = rel.SetCompileDisabled
-	// SetFusionDisabled turns restrict/project chain fusion off for every
-	// request (WithoutFusion does it per request).
-	SetFusionDisabled = dataflow.SetFusionDisabled
-	// SetScanWorkers bounds parallel scan workers (0 = GOMAXPROCS).
-	SetScanWorkers = rel.SetScanWorkers
-	// SetScanThreshold sets the minimum row count before a scan splits
-	// into parallel chunks (0 restores the default).
-	SetScanThreshold = rel.SetScanThreshold
-)
-
 // Viewer renders displayables to a framebuffer with pan/zoom/sliders.
 type Viewer = viewer.Viewer
 
@@ -274,22 +255,6 @@ func (s ViewerSpec) Build() *Viewer {
 		v.Background = s.Background
 	}
 	return v
-}
-
-// NewViewer constructs a standalone viewer over a fixed displayable.
-//
-// Deprecated: use ViewerSpec{...}.Build(), which names the parameters
-// and exposes the optional knobs.
-func NewViewer(name string, d display.Displayable, w, h int) *Viewer {
-	return ViewerSpec{Name: name, D: d, W: w, H: h}.Build()
-}
-
-// NewExtendedRelation builds a displayable R directly.
-//
-// Deprecated: use ExtendedSpec{...}.Build(), which names the parameters
-// and admits alternative display attributes.
-func NewExtendedRelation(label string, r *Relation, locAttrs []string, fn draw.Func) (*Extended, error) {
-	return ExtendedSpec{Label: label, Rel: r, LocAttrs: locAttrs, Display: fn}.Build()
 }
 
 // Slave ties two viewer members together, maintaining their relative

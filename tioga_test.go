@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"image/png"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -68,11 +71,11 @@ func TestPublicAPIStandaloneViewer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewExtendedRelation("stations", st, []string{"longitude", "latitude"}, fn)
+	e, err := ExtendedSpec{Label: "stations", Rel: st, LocAttrs: []string{"longitude", "latitude"}, Display: fn}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := NewViewer("standalone", e, 200, 150)
+	v := ViewerSpec{Name: "standalone", D: e, W: 200, H: 150}.Build()
 	if err := v.PanTo(0, -100, 37); err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +118,12 @@ func TestPublicAPISlavingAndLift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewExtendedRelation("s", st, []string{"longitude", "latitude"}, fn)
+	e, err := ExtendedSpec{Label: "s", Rel: st, LocAttrs: []string{"longitude", "latitude"}, Display: fn}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewViewer("a", e, 100, 100)
-	b := NewViewer("b", e, 100, 100)
+	a := ViewerSpec{Name: "a", D: e, W: 100, H: 100}.Build()
+	b := ViewerSpec{Name: "b", D: e, W: 100, H: 100}.Build()
 	if err := Slave(a, 0, b, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -216,17 +219,6 @@ func TestPublicAPISpecBuilders(t *testing.T) {
 		t.Fatalf("spec fields not honored: %dx%d parallel=%v", v2.W, v2.H, v2.Parallel)
 	}
 
-	// The deprecated constructors stay behaviorally identical.
-	old, err := NewExtendedRelation("stations", st, []string{"longitude", "latitude"}, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Label != "stations" || len(old.Displays) != 1 {
-		t.Fatalf("deprecated constructor drifted: %+v", old)
-	}
-	if ov := NewViewer("old", old, 0, 0); ov.W != 640 || ov.H != 480 {
-		t.Fatalf("deprecated viewer constructor drifted: %dx%d", ov.W, ov.H)
-	}
 }
 
 func TestPublicAPIEval(t *testing.T) {
@@ -263,5 +255,27 @@ func TestPublicAPIEval(t *testing.T) {
 	var ee *EvalError
 	if !errors.As(err, &ee) || ee.Box != dangling.ID {
 		t.Fatalf("facade error = %v (%T)", err, err)
+	}
+}
+
+// TestCommittedFiguresDecode holds every committed figure under out/ to
+// be a PNG that image/png decodes (`go run ./cmd/tioga-figures`
+// regenerates them).
+func TestCommittedFiguresDecode(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("out", "*.png"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed figures under out/")
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := png.Decode(bytes.NewReader(data)); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
 	}
 }

@@ -174,8 +174,9 @@ func TestTraceStructureIdenticalCompiledVsInterpreted(t *testing.T) {
 	env.Eval.InvalidateAll() // viewer setup (PanTo) pre-demands the source
 	compiled := renderTree(t, v)
 
-	prev := rel.SetCompileDisabled(true)
-	defer rel.SetCompileDisabled(prev)
+	src := v.Source.(viewer.BoxOutputSource)
+	src.Options = append(src.Options, dataflow.WithPath(rel.PathInterp))
+	v.Source = src
 	env.Eval.InvalidateAll()
 	interpreted := renderTree(t, v)
 
