@@ -1,46 +1,20 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
-	"testing"
 
 	"repro/internal/expr"
-	"repro/internal/obs"
 	"repro/internal/rel"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
 
-// columnarBenchReport is the columnar-kernel-vs-row-major comparison
-// written to BENCH_columnar.json: the same restrict→join pipeline over
-// the Stations relation, timed with monomorphic chunk kernels against
-// the row-major compiled-closure scan they replace, plus a bounded-
-// memory pass where the dataset lives in an append-only segment several
-// times larger than the chunk-cache quota.
-type columnarBenchReport struct {
-	GeneratedBy      string              `json:"generated_by"`
-	Meta             runMeta             `json:"meta"`
-	Workload         string              `json:"workload"`
-	Rows             int                 `json:"rows"`
-	ChunkRows        int                 `json:"chunk_rows"`
-	NumCPU           int                 `json:"num_cpu"`
-	RowMajorNsPerOp  int64               `json:"row_major_ns_per_op"`
-	ColumnarNsPerOp  int64               `json:"columnar_ns_per_op"`
-	Speedup          float64             `json:"speedup"`
-	OutputsIdentical bool                `json:"outputs_identical"`
-	ColumnarCounters map[string]int64    `json:"columnar_counters,omitempty"`
-	BoundedMemory    boundedMemoryReport `json:"bounded_memory"`
-}
-
-// boundedMemoryReport is the segment-backed pass: the pipeline runs with
-// a chunk-cache quota a fraction of the dataset size, and the cache's
-// own accounting proves residency never exceeded it.
-type boundedMemoryReport struct {
+// boundedMemory is columnar_scan's chunk-backed pass: the pipeline runs
+// with a chunk-cache quota a fraction of the dataset size, and the
+// cache's own accounting proves residency never exceeded it.
+type boundedMemory struct {
 	QuotaBytes        int64 `json:"quota_bytes"`
 	SegmentChunkBytes int64 `json:"segment_chunk_bytes"`
 	PeakResidentBytes int64 `json:"peak_resident_bytes"`
@@ -92,19 +66,16 @@ func columnarDim(st *rel.Relation) *rel.Relation {
 	return d
 }
 
-// runColumnarBench times the columnar_scan workload: a restrict with an
+// setupColumnarScan times the columnar_scan pipeline: a restrict with an
 // arithmetic-heavy predicate over computed attributes, feeding a hash
 // join against a small dimension table. Both legs run the compiled
-// engine; the ablation is rel.PathRow, so the delta isolates the chunk
-// kernels from expression compilation (which both legs keep).
-func runColumnarBench(out string, quick, verbose bool) error {
-	rows := 100000
-	if quick {
-		rows = 12000
-	}
-	st := workload.Stations(rows, 42)
+// engine; the ablation is rel.PathRow, so the difference isolates the
+// chunk kernels from expression compilation, which both legs keep. The
+// check then reruns the kernel leg chunk-backed under a memory quota.
+func setupColumnarScan(p params) (*ablation, error) {
+	st := workload.Stations(p["rows"], 42)
 	if err := columnarComputed(st); err != nil {
-		return fmt.Errorf("columnar: computed: %w", err)
+		return nil, err
 	}
 	dim := columnarDim(st)
 	// Selective (roughly the Louisiana quarter of the data) and
@@ -124,134 +95,39 @@ func runColumnarBench(out string, quick, verbose bool) error {
 		}
 		return rel.Join(res, dim, joinPred, rel.JoinHash, x)
 	}
-	pipeline := func(base *rel.Relation) (*rel.Relation, error) {
-		return run(base, rel.Exec{})
+	op := func(x rel.Exec) func() (any, error) {
+		return func() (any, error) { return run(st, x) }
 	}
-	stamp := func(j *rel.Relation) string {
+	stamp := func(out any) (string, error) {
 		var sb strings.Builder
-		fmt.Fprintf(&sb, "join %d\n", j.Len())
-		for i := 0; i < j.Len(); i++ {
-			fmt.Fprintf(&sb, "%v\n", j.Tuple(i))
-		}
-		return sb.String()
+		relFingerprint(&sb, out.(*rel.Relation))
+		return sb.String(), nil
 	}
-
-	rowMajor := func(base *rel.Relation) (*rel.Relation, error) {
-		return run(base, rel.Exec{Path: rel.PathRow})
-	}
-
-	// Output identity before any timing: the speedup is vacuous if the
-	// kernels disagree with the row path. (This also warms the columnar
-	// view so the timed columnar leg measures scans, not the one-time
-	// chunk encode.)
-	rj, err := rowMajor(st)
-	if err != nil {
-		return fmt.Errorf("columnar: row-major eval: %w", err)
-	}
-	rowFP := stamp(rj)
-	cj, err := pipeline(st)
-	if err != nil {
-		return fmt.Errorf("columnar: columnar eval: %w", err)
-	}
-	identical := stamp(cj) == rowFP
-
-	// Counter pass: the columnar configuration's per-iteration profile
-	// (kernel scans, fallback rows, chunk loads).
-	obs.Reset()
-	prevObs := obs.Enabled()
-	obs.SetEnabled(true)
-	before := obs.TakeSnapshot()
-	if _, err := pipeline(st); err != nil {
-		obs.SetEnabled(prevObs)
-		return fmt.Errorf("columnar: instrumented run: %w", err)
-	}
-	counters := obs.CounterDelta(before, obs.TakeSnapshot())
-	obs.SetEnabled(prevObs)
-	obs.Reset()
-
-	// Best of three, as in the query bench: median of three
-	// independently calibrated passes per leg.
-	time_ := func(fn func(*rel.Relation) (*rel.Relation, error)) (int64, error) {
-		var iterErr error
-		samples := make([]int64, 0, 3)
-		for rep := 0; rep < 3 && iterErr == nil; rep++ {
-			var r testing.BenchmarkResult
-			timedSection(func() {
-				r = testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := fn(st); err != nil {
-							iterErr = err
-							b.FailNow()
-						}
-					}
-				})
+	return &ablation{
+		baseline:    leg{mode: "row", op: op(rel.Exec{Path: rel.PathRow})},
+		fast:        leg{mode: "kernels", op: op(rel.Exec{})},
+		fingerprint: stamp,
+		check: func(r *result, rowFP string) error {
+			bm, err := runBoundedMemoryPass(st, rowFP, func(cb *rel.Relation) (string, error) {
+				j, err := run(cb, rel.Exec{})
+				if err != nil {
+					return "", err
+				}
+				return stamp(j)
 			})
-			samples = append(samples, r.NsPerOp())
-		}
-		if iterErr != nil {
-			return 0, iterErr
-		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		return samples[1], nil
-	}
-	rowNs, err := time_(rowMajor)
-	if err != nil {
-		return fmt.Errorf("columnar: row-major bench: %w", err)
-	}
-	colNs, err := time_(pipeline)
-	if err != nil {
-		return fmt.Errorf("columnar: columnar bench: %w", err)
-	}
-
-	bounded, err := runBoundedMemoryPass(st, rowFP, pipeline, stamp)
-	if err != nil {
-		return fmt.Errorf("columnar: bounded memory: %w", err)
-	}
-
-	report := columnarBenchReport{
-		GeneratedBy:      "tioga-bench",
-		Meta:             collectMeta(),
-		Workload:         "columnar_scan",
-		Rows:             rows,
-		ChunkRows:        rel.DefaultChunkRows,
-		NumCPU:           runtime.NumCPU(),
-		RowMajorNsPerOp:  rowNs,
-		ColumnarNsPerOp:  colNs,
-		Speedup:          float64(rowNs) / float64(colNs),
-		OutputsIdentical: identical && bounded.OutputsIdentical,
-		ColumnarCounters: counters,
-		BoundedMemory:    bounded,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	if verbose {
-		fmt.Printf("%-24s %12d ns/op (row-major compiled)\n", "columnar_scan", rowNs)
-		fmt.Printf("%-24s %12d ns/op (columnar kernels)\n", "", colNs)
-	}
-	fmt.Printf("wrote %s (speedup %.2fx, outputs identical: %v; bounded peak %d/%d bytes, %d evictions)\n",
-		out, report.Speedup, report.OutputsIdentical,
-		bounded.PeakResidentBytes, bounded.QuotaBytes, bounded.Evictions)
-	if !identical {
-		return fmt.Errorf("columnar: row-major and columnar outputs differ")
-	}
-	if !bounded.OutputsIdentical {
-		return fmt.Errorf("columnar: bounded-memory output differs from row-major output")
-	}
-	if bounded.PeakResidentBytes > bounded.QuotaBytes {
-		return fmt.Errorf("columnar: resident peak %d exceeded quota %d",
-			bounded.PeakResidentBytes, bounded.QuotaBytes)
-	}
-	if !quick && report.Speedup < 2.0 {
-		return fmt.Errorf("columnar: speedup %.2fx below the 2x acceptance floor", report.Speedup)
-	}
-	return nil
+			if err != nil {
+				return fmt.Errorf("bounded memory: %w", err)
+			}
+			r.BoundedMemory = bm
+			if !bm.OutputsIdentical {
+				return fmt.Errorf("bounded memory: chunk-backed output differs from the row path")
+			}
+			if bm.PeakResidentBytes > bm.QuotaBytes {
+				return fmt.Errorf("bounded memory: resident peak %d exceeded quota %d", bm.PeakResidentBytes, bm.QuotaBytes)
+			}
+			return nil
+		},
+	}, nil
 }
 
 // runBoundedMemoryPass writes the stations to an append-only in-memory
@@ -260,24 +136,23 @@ func runColumnarBench(out string, quick, verbose bool) error {
 // the largest single chunk — the cache must keep the chunk being read
 // resident). The cache's own accounting is the evidence: peak resident
 // bytes must stay within quota while the scan faults and evicts.
+// pipeline runs the kernel leg over a relation and fingerprints it.
 func runBoundedMemoryPass(st *rel.Relation, rowFP string,
-	pipeline func(*rel.Relation) (*rel.Relation, error),
-	stamp func(*rel.Relation) string) (boundedMemoryReport, error) {
+	pipeline func(*rel.Relation) (string, error)) (*boundedMemory, error) {
 
-	var rep boundedMemoryReport
 	b := rel.NewMemBackend()
 	if err := b.WriteSegment("stations", st); err != nil {
-		return rep, err
+		return nil, err
 	}
 	cs, err := b.OpenSegment("stations", st.Schema())
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
 	var total, maxChunk int64
 	for ci := 0; ci < cs.NumChunks(); ci++ {
 		c, err := cs.ReadChunk(ci)
 		if err != nil {
-			return rep, err
+			return nil, err
 		}
 		total += c.Bytes()
 		if c.Bytes() > maxChunk {
@@ -286,10 +161,10 @@ func runBoundedMemoryPass(st *rel.Relation, rowFP string,
 	}
 	cb, err := rel.FromChunkSource("Stations", st.Schema(), cs)
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
 	if err := columnarComputed(cb); err != nil {
-		return rep, err
+		return nil, err
 	}
 
 	quota := total / 4
@@ -310,14 +185,12 @@ func runBoundedMemoryPass(st *rel.Relation, rowFP string,
 	// steady-state churn, not a single cold sweep.
 	var fp string
 	for pass := 0; pass < 2; pass++ {
-		j, err := pipeline(cb)
-		if err != nil {
-			return rep, err
+		if fp, err = pipeline(cb); err != nil {
+			return nil, err
 		}
-		fp = stamp(j)
 	}
 	stats := rel.ChunkCacheStats()
-	rep = boundedMemoryReport{
+	return &boundedMemory{
 		QuotaBytes:        quota,
 		SegmentChunkBytes: total,
 		PeakResidentBytes: stats.Peak,
@@ -325,6 +198,5 @@ func runBoundedMemoryPass(st *rel.Relation, rowFP string,
 		Evictions:         stats.Evictions,
 		QuotaWarnings:     stats.QuotaWarnings,
 		OutputsIdentical:  fp == rowFP,
-	}
-	return rep, nil
+	}, nil
 }

@@ -10,12 +10,10 @@ import (
 )
 
 // Regression gate: `tioga-bench -compare old.json new.json` flattens two
-// bench reports and fails when new is meaningfully worse than old. By
-// default only portable quantities are gated — speedup ratios (parallel
-// vs serial, cached vs uncached, compiled vs interpreted) and the
+// bench reports and fails when new is meaningfully worse than old. Only
+// portable quantities are gated — the speedup ratios and the
 // outputs_identical flags — because absolute ns/op moves with the
-// machine. -abs additionally gates the absolute latency keys for
-// comparisons where both files come from the same hardware.
+// machine; same-machine absolute latency is _perfbench's paired runs.
 
 // regression is one gated key that got worse.
 type regression struct {
@@ -65,17 +63,9 @@ func joinPath(prefix, k string) string {
 }
 
 // higherBetter reports whether a key is a ratio where larger means
-// faster (every report's speedup fields).
+// faster (every comparison's speedup).
 func higherBetter(key string) bool {
 	return strings.Contains(lastSegment(key), "speedup")
-}
-
-// lowerBetter reports whether a key is an absolute latency where larger
-// means slower. These are only gated under -abs.
-func lowerBetter(key string) bool {
-	s := lastSegment(key)
-	return strings.Contains(s, "ns_per_op") || strings.Contains(s, "ns_per_frame") ||
-		strings.HasSuffix(s, "p95_ns")
 }
 
 func lastSegment(key string) string {
@@ -89,7 +79,7 @@ func lastSegment(key string) string {
 // threshold, returning every regression found, sorted by key. Keys
 // present in old but absent from new count as regressions for gated
 // quantities (a silently dropped workload must not pass the gate).
-func compareReports(old, new map[string]any, threshold float64, abs bool) []regression {
+func compareReports(old, new map[string]any, threshold float64) []regression {
 	var regs []regression
 	keys := make([]string, 0, len(old))
 	for k := range old {
@@ -97,10 +87,8 @@ func compareReports(old, new map[string]any, threshold float64, abs bool) []regr
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		gatedRatio := higherBetter(k)
-		gatedAbs := abs && lowerBetter(k)
 		identity := lastSegment(k) == "outputs_identical"
-		if !gatedRatio && !gatedAbs && !identity {
+		if !higherBetter(k) && !identity {
 			continue
 		}
 		nv, ok := new[k]
@@ -122,13 +110,9 @@ func compareReports(old, new map[string]any, threshold float64, abs bool) []regr
 			regs = append(regs, regression{Key: k, Why: fmt.Sprintf("not numeric in both reports (%v vs %v)", old[k], nv)})
 			continue
 		}
-		switch {
-		case gatedRatio && nf < of*(1-threshold):
+		if nf < of*(1-threshold) {
 			regs = append(regs, regression{Key: k, Old: of, New: nf,
 				Why: fmt.Sprintf("speedup fell %.1f%% (%.3g -> %.3g, tolerance %.0f%%)", 100*(1-nf/of), of, nf, 100*threshold)})
-		case gatedAbs && nf > of*(1+threshold):
-			regs = append(regs, regression{Key: k, Old: of, New: nf,
-				Why: fmt.Sprintf("latency rose %.1f%% (%.4g -> %.4g ns, tolerance %.0f%%)", 100*(nf/of-1), of, nf, 100*threshold)})
 		}
 	}
 	return regs
@@ -156,7 +140,7 @@ func loadFlat(path string) (map[string]any, error) {
 
 // runCompare implements the -compare mode: load both reports, gate, and
 // report. Returns the regressions (empty means the gate passes).
-func runCompare(oldPath, newPath string, threshold float64, abs bool) ([]regression, error) {
+func runCompare(oldPath, newPath string, threshold float64) ([]regression, error) {
 	old, err := loadFlat(oldPath)
 	if err != nil {
 		return nil, err
@@ -165,5 +149,5 @@ func runCompare(oldPath, newPath string, threshold float64, abs bool) ([]regress
 	if err != nil {
 		return nil, err
 	}
-	return compareReports(old, new_, threshold, abs), nil
+	return compareReports(old, new_, threshold), nil
 }

@@ -29,11 +29,11 @@ func TestFlattenKeysArraysByName(t *testing.T) {
 func TestCompareSpeedupRegression(t *testing.T) {
 	old := flat(t, `{"speedup": 3.0, "outputs_identical": true}`)
 	ok := flat(t, `{"speedup": 2.7, "outputs_identical": true}`)
-	if regs := compareReports(old, ok, 0.15, false); len(regs) != 0 {
+	if regs := compareReports(old, ok, 0.15); len(regs) != 0 {
 		t.Fatalf("10%% speedup drop within 15%% tolerance flagged: %v", regs)
 	}
 	bad := flat(t, `{"speedup": 2.0, "outputs_identical": true}`)
-	regs := compareReports(old, bad, 0.15, false)
+	regs := compareReports(old, bad, 0.15)
 	if len(regs) != 1 || regs[0].Key != "speedup" {
 		t.Fatalf("33%% speedup drop not flagged: %v", regs)
 	}
@@ -42,40 +42,29 @@ func TestCompareSpeedupRegression(t *testing.T) {
 func TestCompareOutputsIdenticalRegression(t *testing.T) {
 	old := flat(t, `{"outputs_identical": true}`)
 	bad := flat(t, `{"outputs_identical": false}`)
-	if regs := compareReports(old, bad, 0.15, false); len(regs) != 1 {
+	if regs := compareReports(old, bad, 0.15); len(regs) != 1 {
 		t.Fatalf("outputs_identical true->false not flagged: %v", regs)
 	}
 	// false -> false is not a regression (it was already broken).
-	if regs := compareReports(bad, bad, 0.15, false); len(regs) != 0 {
+	if regs := compareReports(bad, bad, 0.15); len(regs) != 0 {
 		t.Fatalf("outputs_identical false->false flagged: %v", regs)
-	}
-}
-
-func TestCompareAbsoluteGate(t *testing.T) {
-	old := flat(t, `{"results": [{"name": "w", "ns_per_op": 1000}], "cached_p95_ns": 500}`)
-	slow := flat(t, `{"results": [{"name": "w", "ns_per_op": 2000}], "cached_p95_ns": 900}`)
-	// Absolute keys are not gated by default: cross-machine comparisons.
-	if regs := compareReports(old, slow, 0.15, false); len(regs) != 0 {
-		t.Fatalf("absolute keys gated without -abs: %v", regs)
-	}
-	regs := compareReports(old, slow, 0.15, true)
-	if len(regs) != 2 {
-		t.Fatalf("-abs missed regressions, got: %v", regs)
 	}
 }
 
 func TestCompareMissingGatedKey(t *testing.T) {
 	old := flat(t, `{"speedup": 3.0}`)
 	empty := flat(t, `{}`)
-	if regs := compareReports(old, empty, 0.15, false); len(regs) != 1 {
+	if regs := compareReports(old, empty, 0.15); len(regs) != 1 {
 		t.Fatalf("dropped gated key not flagged: %v", regs)
 	}
 }
 
+// Absolute ns/op moves with the machine, so like meta and counters it is
+// never gated.
 func TestCompareIgnoresMetaAndCounters(t *testing.T) {
-	old := flat(t, `{"meta": {"go_version": "go1.22.0", "git_rev": "aaa"}, "results": [{"name": "w", "counters": {"eval.fires": 10}}]}`)
-	changed := flat(t, `{"meta": {"go_version": "go1.23.1", "git_rev": "bbb"}, "results": [{"name": "w", "counters": {"eval.fires": 99}}]}`)
-	if regs := compareReports(old, changed, 0.15, true); len(regs) != 0 {
+	old := flat(t, `{"meta": {"go_version": "go1.22.0", "git_rev": "aaa"}, "comparisons": [{"name": "w", "fast": {"ns_per_op": 1000, "counters": {"eval.fires": 10}}}]}`)
+	changed := flat(t, `{"meta": {"go_version": "go1.23.1", "git_rev": "bbb"}, "comparisons": [{"name": "w", "fast": {"ns_per_op": 2000, "counters": {"eval.fires": 99}}}]}`)
+	if regs := compareReports(old, changed, 0.15); len(regs) != 0 {
 		t.Fatalf("ungated keys flagged: %v", regs)
 	}
 }

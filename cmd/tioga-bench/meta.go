@@ -9,7 +9,7 @@ import (
 
 // runMeta stamps a bench report with the environment that produced it,
 // so a regression comparison can tell a real slowdown from a machine or
-// toolchain change. Every BENCH_*.json carries one.
+// toolchain change. BENCH_ablation.json carries one.
 type runMeta struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`

@@ -20,6 +20,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"time"
 )
 
 // wsGUID is the fixed handshake GUID of RFC 6455 §1.3.
@@ -43,6 +44,10 @@ const maxWSPayload = 1 << 26
 // ops are small JSON, so an unauthenticated peer gets no more.
 const maxServerRead = 64 << 10
 
+// writeTimeout bounds each frame write, so a peer that stops reading
+// fails the write instead of holding the write lock forever.
+const writeTimeout = 10 * time.Second
+
 // WSConn is one WebSocket connection, either side. Reads must come
 // from a single goroutine; writes are internally serialized, so any
 // goroutine may send.
@@ -52,7 +57,7 @@ type WSConn struct {
 	client bool // client side masks outgoing frames
 
 	wmu    sync.Mutex
-	closed bool
+	closed bool // set by Close, or by a failed write that may have left a partial frame
 }
 
 // Upgrade performs the server half of the WebSocket handshake,
@@ -218,10 +223,10 @@ func (ws *WSConn) ReadMessage() (op byte, payload []byte, err error) {
 		default:
 			return 0, nil, fmt.Errorf("server: unsupported opcode %#x: %w", frameOp, ErrProtocol)
 		}
-		buffer = append(buffer, data...)
-		if limit := ws.readLimit(); len(buffer) > limit {
+		if limit := ws.readLimit(); len(buffer)+len(data) > limit {
 			return 0, nil, fmt.Errorf("server: message exceeds %d bytes: %w", limit, ErrProtocol)
 		}
+		buffer = append(buffer, data...)
 		if fin {
 			return msgOp, buffer, nil
 		}
@@ -343,15 +348,24 @@ func (ws *WSConn) writeFrameLocked(op byte, payload []byte) error {
 		}
 		payload = masked
 	}
-	if _, err := ws.c.Write(hdr); err != nil {
+	if err := ws.c.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
-	_, err := ws.c.Write(payload)
+	_, err := ws.c.Write(hdr)
+	if err == nil {
+		_, err = ws.c.Write(payload)
+	}
+	if err != nil {
+		ws.closed = true // a partial frame may be on the wire; nothing after it would parse
+	}
 	return err
 }
 
 // Close sends a close frame (best effort) and closes the connection.
+// It first fails any write in flight by moving the write deadline into
+// the past, so a peer that stopped reading cannot block Close.
 func (ws *WSConn) Close() error {
+	_ = ws.c.SetWriteDeadline(time.Unix(1, 0)) // an error here surfaces from c.Close below
 	ws.wmu.Lock()
 	if !ws.closed {
 		_ = ws.writeFrameLocked(opClose, nil)

@@ -6,11 +6,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // echoServer upgrades and echoes every message back with opcode intact.
@@ -110,6 +113,52 @@ func TestWSCloseHandshake(t *testing.T) {
 	}
 	if _, _, err := ws.ReadMessage(); err == nil {
 		t.Fatal("read after close should fail")
+	}
+}
+
+// notifyConn closes wrote when the first write starts.
+type notifyConn struct {
+	net.Conn
+	once  sync.Once
+	wrote chan struct{}
+}
+
+func (c *notifyConn) Write(p []byte) (int, error) {
+	c.once.Do(func() { close(c.wrote) })
+	return c.Conn.Write(p)
+}
+
+// A write to a peer that never reads blocks holding the write lock.
+// Close from another goroutine must still return promptly, and the
+// blocked write must fail rather than wait for the peer.
+func TestWSCloseDoesNotWaitOnStuckWrite(t *testing.T) {
+	conn, peer := net.Pipe() // nothing ever reads peer
+	defer peer.Close()
+	nc := &notifyConn{Conn: conn, wrote: make(chan struct{})}
+	ws := &WSConn{c: nc, br: bufio.NewReader(conn)}
+	writeErr := make(chan error, 1)
+	go func() {
+		writeErr <- ws.WritePair(OpText, []byte("meta"), OpBinary, make([]byte, 1<<20))
+	}()
+	<-nc.wrote
+
+	closed := make(chan struct{})
+	go func() {
+		_ = ws.Close() // only whether Close returns is under test
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close waited behind a write to a peer that never reads")
+	}
+	select {
+	case err := <-writeErr:
+		if err == nil {
+			t.Fatal("write to a peer that never reads succeeded")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("blocked write did not return after Close")
 	}
 }
 
