@@ -295,7 +295,7 @@ func setupPanZoom(p params) (*ablation, error) {
 // canonical fusible chain — with predicates that reference the computed
 // attributes repeatedly. This is the workload the fast path is built
 // for: the interpreter re-walks a computed definition at every
-// reference, the compiled scan materializes each once per row.
+// reference, the kernel evaluates each once per chunk.
 func buildQueryPipeline(env *core.Environment) (int, error) {
 	err := env.DB.AlterTable("Stations", func(st *rel.Relation) error {
 		if err := st.AddComputed("dist2", expr.MustParse(
@@ -362,7 +362,7 @@ func setupQueryPipeline(p params) (*ablation, error) {
 	}
 	// The join residual leans on computed attributes too: degf and
 	// elev_adj are re-derived per candidate pair by the interpreter,
-	// materialized once per pair by the compiled path.
+	// which evaluates join residuals on both legs.
 	if err := st.AddComputed("elev_adj", expr.MustParse("altitude / 1000.0 + latitude * 0.1")); err != nil {
 		return nil, err
 	}
@@ -385,7 +385,7 @@ func setupQueryPipeline(p params) (*ablation, error) {
 	return &ablation{
 		baseline: leg{mode: "interpreted", op: iterate(rel.Exec{Path: rel.PathInterp, Workers: 1},
 			dataflow.WithPath(rel.PathInterp), dataflow.WithoutFusion(), dataflow.Serial())},
-		fast: leg{mode: "compiled+fused", op: iterate(rel.Exec{}, dataflow.Serial())},
+		fast: leg{mode: "kernel+fused", op: iterate(rel.Exec{}, dataflow.Serial())},
 		fingerprint: func(out any) (string, error) {
 			q := out.(queryOutput)
 			fp, err := fingerprint(q.chain)

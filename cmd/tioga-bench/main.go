@@ -1,8 +1,8 @@
 // Command tioga-bench is the engine's ablation harness. Each entry of
 // its comparison table times one workload on a baseline path and on
 // the fast path that baseline ablates (serial vs parallel scheduling,
-// uncached vs cached rendering, interpreted vs compiled queries, full
-// refire vs delta maintenance, row scans vs chunk kernels), after
+// uncached vs cached rendering, interpreted vs kernel+fused queries,
+// full refire vs delta maintenance, interpreted vs kernel scans), after
 // checking that both paths produce identical output. The run writes one
 // JSON report, BENCH_ablation.json, whose speedups and identity flags
 // the -compare mode gates in CI.

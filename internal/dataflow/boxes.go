@@ -137,7 +137,7 @@ func registerDatabaseBoxes(r *Registry) {
 			if len(attrs) == 0 {
 				return nil, nil, false, nil
 			}
-			return fusedBoxDelta(ctx, fc.Exec, d, rel.FusedOp{Project: attrs})
+			return fusedBoxDelta(ctx, d, rel.FusedOp{Project: attrs})
 		},
 	})
 
@@ -170,7 +170,7 @@ func registerDatabaseBoxes(r *Registry) {
 			if !ok {
 				return nil, nil, false, nil
 			}
-			return fusedBoxDelta(ctx, fc.Exec, d, rel.FusedOp{Pred: pred})
+			return fusedBoxDelta(ctx, d, rel.FusedOp{Pred: pred})
 		},
 	})
 
@@ -272,7 +272,7 @@ func registerDatabaseBoxes(r *Registry) {
 					return nil, nil, false, nil
 				}
 				var ok bool
-				if st, ok = rel.BuildJoinState(oldL.Rel, oldR.Rel, old.Rel, pred, fc.Exec); !ok {
+				if st, ok = rel.BuildJoinState(oldL.Rel, oldR.Rel, old.Rel, pred); !ok {
 					return nil, nil, false, nil
 				}
 			}

@@ -298,7 +298,7 @@ func (e *Evaluator) applyDeltas(ctx context.Context, p *plan, o EvalOptions) {
 			}
 			var res *deltaResult
 			if ch := p.fused[n.id]; ch != nil {
-				res = e.applyFusedDelta(ctx, n, ch, applied, fc.Exec)
+				res = e.applyFusedDelta(ctx, n, ch, applied)
 			} else {
 				res = e.applyKindDelta(ctx, fc, n, applied)
 			}
@@ -354,7 +354,7 @@ func (e *Evaluator) applyDeltas(ctx context.Context, p *plan, o EvalOptions) {
 // applyFusedDelta maintains a fused restrict/project chain tail through
 // rel.FusedDelta, mirroring fireFused's parameter reading and display
 // rederivation. A nil return means fall back. Called under e.mu.
-func (e *Evaluator) applyFusedDelta(ctx context.Context, n *planNode, ch *fusedChain, applied map[int]*deltaResult, x rel.Exec) *deltaResult {
+func (e *Evaluator) applyFusedDelta(ctx context.Context, n *planNode, ch *fusedChain, applied map[int]*deltaResult) *deltaResult {
 	in := applied[ch.src.From]
 	oldVals, ok := e.cache[n.id]
 	if in == nil || !ok || len(oldVals) == 0 {
@@ -380,7 +380,7 @@ func (e *Evaluator) applyFusedDelta(ctx context.Context, n *planNode, ch *fusedC
 	if !ok {
 		return nil
 	}
-	res, outDelta, ok, err := rel.FusedDelta(ctx, ein.Rel, oldTail.Rel, ops, in.delta, x)
+	res, outDelta, ok, err := rel.FusedDelta(ctx, ein.Rel, oldTail.Rel, ops, in.delta)
 	if err != nil || !ok {
 		return nil
 	}
@@ -419,7 +419,7 @@ func fusedOps(ch *fusedChain) ([]rel.FusedOp, bool) {
 
 // fusedBoxDelta maintains an individual restrict or project box (one not
 // absorbed into a fused chain) through the one-step fused delta path.
-func fusedBoxDelta(ctx context.Context, x rel.Exec, d *DeltaFire, op rel.FusedOp) ([]Value, *rel.TupleDelta, bool, error) {
+func fusedBoxDelta(ctx context.Context, d *DeltaFire, op rel.FusedOp) ([]Value, *rel.TupleDelta, bool, error) {
 	in, err := asExtended(d.In[0])
 	if err != nil {
 		return nil, nil, false, nil
@@ -428,7 +428,7 @@ func fusedBoxDelta(ctx context.Context, x rel.Exec, d *DeltaFire, op rel.FusedOp
 	if err != nil {
 		return nil, nil, false, nil
 	}
-	res, outDelta, ok, err := rel.FusedDelta(ctx, in.Rel, old.Rel, []rel.FusedOp{op}, d.InDelta[0], x)
+	res, outDelta, ok, err := rel.FusedDelta(ctx, in.Rel, old.Rel, []rel.FusedOp{op}, d.InDelta[0])
 	if err != nil || !ok {
 		return nil, nil, false, nil
 	}

@@ -46,8 +46,8 @@ type EvalOptions struct {
 	// chains into single fused scans (see fuse.go), firing every box
 	// individually — the ablation baseline for the query fast path.
 	NoFusion bool
-	// Path selects how the request's relational operators evaluate
-	// expressions (rel.PathAuto, the zero value, takes every fast path).
+	// Path selects which evaluator the request's relational operators
+	// run expressions on (rel.PathAuto, the zero value, is the kernel).
 	Path rel.Path
 }
 
@@ -70,9 +70,9 @@ func WithLabel(label string) EvalOption { return func(o *EvalOptions) { o.Label 
 func WithoutFusion() EvalOption { return func(o *EvalOptions) { o.NoFusion = true } }
 
 // WithPath runs the request's relational operators on path p:
-// rel.PathRow turns the chunk kernels off, rel.PathInterp runs the
-// interpreter only. The ablation baselines and differential oracles use
-// it; results are identical on every path.
+// rel.PathAuto (the default) on the columnar kernel, rel.PathInterp on
+// the interpreter only. The ablation baselines and differential oracles
+// use it; results are identical on both paths.
 func WithPath(p rel.Path) EvalOption { return func(o *EvalOptions) { o.Path = p } }
 
 // exec is the rel execution setting of the request's box firings: its

@@ -205,3 +205,63 @@ func TestBackendLoadUnderQuota(t *testing.T) {
 		t.Fatalf("peak %d exceeded quota %d during backend load+scan", st.Peak, st.Quota)
 	}
 }
+
+// TestSaveLoadComputedLiterals: computed definitions persist as source,
+// so a literal must print back to the same kind and value. "id / 2.0" is
+// Float division (3.5 for id 7); printed as "id / 2" it would reload as
+// Int division. A Text literal holding a backslash must reparse at all.
+func TestSaveLoadComputedLiterals(t *testing.T) {
+	defs := map[string]string{"half": "id / 2.0", "slashed": `name || '\\'`, "negz": "-0. * altitude"}
+	d := seeded(t)
+	err := d.AlterTable("Stations", func(st *rel.Relation) error {
+		for name, src := range defs {
+			if err := st.AddComputed(name, expr.MustParse(src)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := d.Table("Stations")
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrips := map[string]func() (*Database, error){
+		"snapshot": func() (*Database, error) {
+			var buf bytes.Buffer
+			if err := d.Save(&buf); err != nil {
+				return nil, err
+			}
+			d2 := New()
+			return d2, d2.Load(&buf)
+		},
+		"backend": func() (*Database, error) {
+			b := rel.NewMemBackend()
+			if err := d.SaveBackend(b); err != nil {
+				return nil, err
+			}
+			d2 := New()
+			return d2, d2.LoadBackend(b)
+		},
+	}
+	for how, roundTrip := range roundTrips {
+		d2, err := roundTrip()
+		if err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		st2, err := d2.Table("Stations")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name := range defs {
+			for i := 0; i < st.Len(); i++ {
+				want, got := st.Row(i).Attr(name), st2.Row(i).Attr(name)
+				if want.Kind() != got.Kind() || want.String() != got.String() {
+					t.Fatalf("%s: %s row %d reads %s %v after load, %s %v before", how, name, i, got.Kind(), got, want.Kind(), want)
+				}
+			}
+		}
+	}
+}

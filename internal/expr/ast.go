@@ -8,7 +8,7 @@ import (
 )
 
 // Node is an expression AST node. Nodes are immutable after parsing, so a
-// compiled expression can be shared by concurrent evaluations (the dataflow
+// parsed expression can be shared by concurrent evaluations (the dataflow
 // engine evaluates boxes lazily and may be asked for several viewers at
 // once).
 type Node interface {
@@ -23,10 +23,21 @@ type Lit struct {
 	Val types.Value
 }
 
-// String implements Node.
+// String implements Node. Text escapes the lexer's two escape
+// characters, and a Float always carries a decimal point or exponent, so
+// the literal reparses to the same kind and value (Save persists
+// computed definitions in this form).
 func (n *Lit) String() string {
-	if n.Val.Kind() == types.Text {
-		return "'" + strings.ReplaceAll(n.Val.Text(), "'", "''") + "'"
+	switch n.Val.Kind() {
+	case types.Text:
+		s := strings.ReplaceAll(n.Val.Text(), `\`, `\\`)
+		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+	case types.Float:
+		s := n.Val.String()
+		if !strings.ContainsAny(s, ".eIN") {
+			s += ".0"
+		}
+		return s
 	}
 	return n.Val.String()
 }

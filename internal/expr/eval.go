@@ -79,11 +79,7 @@ func Eval(n Node, env Env) (types.Value, error) {
 			}
 			args[i] = v
 		}
-		out, err := b.eval(args)
-		if err != nil {
-			return types.Null, evalErrorf(n, "%v", err)
-		}
-		return out, nil
+		return callBuiltin(n, b, args)
 	}
 	return types.Null, evalErrorf(n, "unknown node type %T", n)
 }
@@ -97,28 +93,14 @@ func evalBinary(n *Binary, env Env) (types.Value, error) {
 		if err != nil {
 			return types.Null, err
 		}
-		if !l.IsNull() && l.Kind() == types.Bool {
-			if n.Op == "and" && !l.Bool() {
-				return types.NewBool(false), nil
-			}
-			if n.Op == "or" && l.Bool() {
-				return types.NewBool(true), nil
-			}
+		if v, ok := shortCircuit(n, l); ok {
+			return v, nil
 		}
 		r, err := Eval(n.R, env)
 		if err != nil {
 			return types.Null, err
 		}
-		if l.IsNull() || r.IsNull() {
-			return types.Null, nil
-		}
-		if l.Kind() != types.Bool || r.Kind() != types.Bool {
-			return types.Null, evalErrorf(n, "%s requires bool operands", n.Op)
-		}
-		if n.Op == "and" {
-			return types.NewBool(l.Bool() && r.Bool()), nil
-		}
-		return types.NewBool(l.Bool() || r.Bool()), nil
+		return applyLogic(n, l, r)
 	}
 
 	l, err := Eval(n.L, env)
@@ -132,9 +114,79 @@ func evalBinary(n *Binary, env Env) (types.Value, error) {
 	return applyBinary(n, l, r)
 }
 
+// shortCircuit reports the result of and/or when the left operand alone
+// decides it.
+func shortCircuit(n *Binary, l types.Value) (types.Value, bool) {
+	if l.IsNull() || l.Kind() != types.Bool {
+		return types.Null, false
+	}
+	if n.Op == "and" && !l.Bool() {
+		return types.NewBool(false), true
+	}
+	if n.Op == "or" && l.Bool() {
+		return types.NewBool(true), true
+	}
+	return types.Null, false
+}
+
+// applyLogic applies and/or to operands whose left side did not short
+// circuit.
+func applyLogic(n *Binary, l, r types.Value) (types.Value, error) {
+	if l.IsNull() || r.IsNull() {
+		return types.Null, nil
+	}
+	if l.Kind() != types.Bool || r.Kind() != types.Bool {
+		return types.Null, evalErrorf(n, "%s requires bool operands", n.Op)
+	}
+	if n.Op == "and" {
+		return types.NewBool(l.Bool() && r.Bool()), nil
+	}
+	return types.NewBool(l.Bool() || r.Bool()), nil
+}
+
+// Applier returns the operator of a Unary, Binary or Call node as a
+// function of its already-evaluated operands, one per child in order,
+// with exactly the interpreter's semantics: null propagation, errors
+// and their messages, and and/or's short circuit (a right operand the
+// interpreter would not evaluate is ignored). It reports false for
+// leaves and unknown functions. The columnar kernel in internal/rel
+// evaluates the shapes it has no monomorphic loop for through it, so
+// the two evaluators share one definition of every operator.
+func Applier(n Node) (func(args []types.Value) (types.Value, error), bool) {
+	switch n := n.(type) {
+	case *Unary:
+		return func(args []types.Value) (types.Value, error) { return applyUnary(n, args[0]) }, true
+	case *Binary:
+		if n.Op == "and" || n.Op == "or" {
+			return func(args []types.Value) (types.Value, error) {
+				if v, ok := shortCircuit(n, args[0]); ok {
+					return v, nil
+				}
+				return applyLogic(n, args[0], args[1])
+			}, true
+		}
+		return func(args []types.Value) (types.Value, error) { return applyBinary(n, args[0], args[1]) }, true
+	case *Call:
+		b, ok := LookupBuiltin(n.Name)
+		if !ok {
+			return nil, false
+		}
+		return func(args []types.Value) (types.Value, error) { return callBuiltin(n, b, args) }, true
+	}
+	return nil, false
+}
+
+func callBuiltin(n *Call, b builtin, args []types.Value) (types.Value, error) {
+	out, err := b.eval(args)
+	if err != nil {
+		return types.Null, evalErrorf(n, "%v", err)
+	}
+	return out, nil
+}
+
 // applyUnary applies a unary operator to an already-evaluated operand.
-// It is shared by the interpreter and by compiled closures, so the two
-// execution modes cannot drift apart on null propagation or errors.
+// It is shared by the interpreter and, through Applier, by the columnar
+// kernel, so the two cannot drift apart on null propagation or errors.
 func applyUnary(n *Unary, x types.Value) (types.Value, error) {
 	if x.IsNull() {
 		return types.Null, nil
@@ -158,9 +210,9 @@ func applyUnary(n *Unary, x types.Value) (types.Value, error) {
 }
 
 // applyBinary applies a non-short-circuiting binary operator to already-
-// evaluated operands. Like applyUnary it is the single semantics shared
-// by the interpreter and compiled closures (and/or live in evalBinary and
-// in the compiler's short-circuit closures, which mirror each other).
+// evaluated operands (and/or are shortCircuit and applyLogic). Like
+// applyUnary it is the single semantics shared by the interpreter and
+// the kernel.
 func applyBinary(n *Binary, l, r types.Value) (types.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return types.Null, nil

@@ -74,7 +74,7 @@ const (
 
 	// Query-execution fast path (internal/rel, internal/expr via rel;
 	// see DESIGN.md §11).
-	RelCompile    = "rel.compile"     // expressions/predicates compiled to closures
+	RelCompile    = "rel.compile"     // expressions compiled to columnar kernels
 	RelFusedScans = "rel.fused_scans" // fused restrict/project pipelines executed
 	RelScanChunks = "rel.scan_chunks" // parallel scan chunks dispatched
 
@@ -125,9 +125,9 @@ const (
 	SpanRenderSpatialBuild      = "render.spatial_build"
 
 	// Relational engine (internal/rel). SpanRelCompile covers the
-	// shape/check/compile pass of a fused scan and runs in both the
-	// compiled and interpreted modes, so trace structure is identical
-	// across the ablation.
+	// shape check and kernel compilation of a fused scan and runs on
+	// both the kernel and the interpreter paths, so trace structure is
+	// identical across the ablation.
 	SpanRelFusedScan = "rel.fused_scan"
 	SpanRelCompile   = "rel.compile.pass"
 

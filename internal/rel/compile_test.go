@@ -3,6 +3,7 @@ package rel
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -32,7 +33,7 @@ func relFingerprint(t testing.TB, r *Relation) string {
 }
 
 // bigRelation builds n rows with nulls sprinkled in, plus computed
-// attributes, so compiled and interpreted scans cover the full value
+// attributes, so kernel and interpreted scans cover the full value
 // space.
 func bigRelation(t testing.TB, n int) *Relation {
 	t.Helper()
@@ -73,16 +74,16 @@ func TestRestrictCompiledMatchesInterpreted(t *testing.T) {
 	r := bigRelation(t, 500)
 	for _, src := range differentialPreds {
 		pred := expr.MustParse(src)
-		compiled, err := Restrict(r, pred, Exec{})
+		kernel, err := Restrict(r, pred, Exec{})
 		if err != nil {
-			t.Fatalf("compiled restrict %q: %v", src, err)
+			t.Fatalf("kernel restrict %q: %v", src, err)
 		}
 		interpreted, err := Restrict(r, pred, Exec{Path: PathInterp})
 		if err != nil {
 			t.Fatalf("interpreted restrict %q: %v", src, err)
 		}
-		if got, want := relFingerprint(t, compiled), relFingerprint(t, interpreted); got != want {
-			t.Errorf("restrict %q differs:\n  compiled    %.120s\n  interpreted %.120s", src, got, want)
+		if got, want := relFingerprint(t, kernel), relFingerprint(t, interpreted); got != want {
+			t.Errorf("restrict %q differs:\n  kernel      %.120s\n  interpreted %.120s", src, got, want)
 		}
 	}
 }
@@ -91,16 +92,46 @@ func TestMapColumnCompiledMatchesInterpreted(t *testing.T) {
 	r := bigRelation(t, 300)
 	for _, src := range []string{"val * 2.0", "val + float(id % 5)", "score / 3.0"} {
 		def := expr.MustParse(src)
-		compiled, err := MapColumn(r, "val", def, Exec{})
+		kernel, err := MapColumn(r, "val", def, Exec{})
 		if err != nil {
-			t.Fatalf("compiled map %q: %v", src, err)
+			t.Fatalf("kernel map %q: %v", src, err)
 		}
 		interpreted, err := MapColumn(r, "val", def, Exec{Path: PathInterp})
 		if err != nil {
 			t.Fatalf("interpreted map %q: %v", src, err)
 		}
-		if got, want := relFingerprint(t, compiled), relFingerprint(t, interpreted); got != want {
+		if got, want := relFingerprint(t, kernel), relFingerprint(t, interpreted); got != want {
 			t.Errorf("map %q differs", src)
+		}
+	}
+}
+
+// A mapped Float column whose definition yields an Int on some rows
+// (an if() with an Int and a Float branch) must still hold Floats, or
+// the chunk encoding behind the kernel rejects the relation.
+func TestMapColumnConformsToColumnKind(t *testing.T) {
+	r := kernelRelation(t, 100)
+	for _, x := range []Exec{{}, {Path: PathInterp}} {
+		m, err := MapColumn(r, "x", expr.MustParse("if(flag, a, y)"), x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < m.Len(); i++ {
+			if v := m.Tuple(i)[3]; !v.IsNull() && v.Kind() != types.Float {
+				t.Fatalf("path %d row %d: mapped Float column holds %s %v", x.Path, i, v.Kind(), v)
+			}
+		}
+		pred := expr.MustParse("x > 0.0")
+		kernel, err := Restrict(m, pred, Exec{})
+		if err != nil {
+			t.Fatalf("path %d: kernel restrict over the mapped column: %v", x.Path, err)
+		}
+		interpreted, err := Restrict(m, pred, Exec{Path: PathInterp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if relFingerprint(t, kernel) != relFingerprint(t, interpreted) {
+			t.Errorf("path %d: restrict over the mapped column differs kernel vs interpreted", x.Path)
 		}
 	}
 }
@@ -112,7 +143,7 @@ func TestPartitionCompiledMatchesInterpreted(t *testing.T) {
 		expr.MustParse("val < 0.0"),
 		expr.MustParse("id % 2 = 0"),
 	}
-	compiled, err := Partition(r, preds, Exec{})
+	kernel, err := Partition(r, preds, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +151,11 @@ func TestPartitionCompiledMatchesInterpreted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(compiled) != len(interpreted) {
-		t.Fatalf("partition counts differ: %d vs %d", len(compiled), len(interpreted))
+	if len(kernel) != len(interpreted) {
+		t.Fatalf("partition counts differ: %d vs %d", len(kernel), len(interpreted))
 	}
-	for i := range compiled {
-		if relFingerprint(t, compiled[i]) != relFingerprint(t, interpreted[i]) {
+	for i := range kernel {
+		if relFingerprint(t, kernel[i]) != relFingerprint(t, interpreted[i]) {
 			t.Errorf("partition %d differs", i)
 		}
 	}
@@ -141,7 +172,7 @@ func TestJoinResidualCompiledMatchesInterpreted(t *testing.T) {
 	}
 	pred := expr.MustParse("grp = did and val > bonus / 1000.0")
 	for _, strat := range []JoinStrategy{JoinHash, JoinNestedLoop} {
-		compiled, err := Join(l, r, pred, strat, Exec{})
+		kernel, err := Join(l, r, pred, strat, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,8 +180,8 @@ func TestJoinResidualCompiledMatchesInterpreted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if relFingerprint(t, compiled) != relFingerprint(t, interpreted) {
-			t.Errorf("join strategy %d differs compiled vs interpreted", strat)
+		if relFingerprint(t, kernel) != relFingerprint(t, interpreted) {
+			t.Errorf("join strategy %d differs kernel vs interpreted", strat)
 		}
 	}
 }
@@ -316,7 +347,7 @@ func asStepError(err error, out **FusedStepError) bool {
 
 // Parallel scans must be byte-deterministic: many workers over a
 // relation above DefaultScanThreshold produce exactly the serial output,
-// run after run, on the kernel and the compiled-closure paths alike.
+// run after run, on the kernel and the interpreter alike.
 func TestParallelScanDeterminism(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
@@ -325,7 +356,7 @@ func TestParallelScanDeterminism(t *testing.T) {
 	pred := expr.MustParse("score > 0.0 and id % 7 != 2")
 	def := expr.MustParse("val * 3.0")
 	ops := []FusedOp{{Pred: pred}, {Project: []string{"id", "val"}}}
-	for _, path := range []Path{PathAuto, PathRow} {
+	for _, path := range []Path{PathAuto, PathInterp} {
 		serial, parallel := Exec{Path: path, Workers: 1}, Exec{Path: path, Workers: 8}
 		// run executes all three scanning operators under x and
 		// fingerprints their outputs.
@@ -434,17 +465,85 @@ func TestValueKeyEquivalence(t *testing.T) {
 	}
 }
 
+// TestHashJoinDropsKeyConjunct: the hash join evaluates its predicate
+// without the key equality it hashed on. Its output must be identical to
+// evaluating the whole predicate on every key-matched pair, for keys
+// where bucketing and comparison could disagree: NaN, ±0, Int against
+// Float, Ints and Dates past 2^53, and nulls.
+func TestHashJoinDropsKeyConjunct(t *testing.T) {
+	const big = int64(1) << 53
+	l := New("L", MustSchema(
+		Column{Name: "lk", Kind: types.Int},
+		Column{Name: "lf", Kind: types.Float},
+		Column{Name: "ld", Kind: types.Date},
+		Column{Name: "ltag", Kind: types.Text},
+	))
+	r := New("R", MustSchema(
+		Column{Name: "rk", Kind: types.Float},
+		Column{Name: "ri", Kind: types.Int},
+		Column{Name: "rd", Kind: types.Date},
+		Column{Name: "rtag", Kind: types.Text},
+	))
+	ints := []types.Value{types.NewInt(0), types.NewInt(1), types.NewInt(big), types.NewInt(big + 1),
+		types.NewInt(-big - 1), types.NewInt(3), types.Null}
+	floats := []types.Value{types.NewFloat(0), types.NewFloat(negZero()), types.NewFloat(math.NaN()),
+		types.NewFloat(1), types.NewFloat(float64(big)), types.NewFloat(3.5), types.Null}
+	dates := []types.Value{types.NewDate(0), types.NewDate(1), types.NewDate(4 * big), types.NewDate(4*big + 1), types.Null}
+	tags := []types.Value{types.NewText("a"), types.NewText("b")}
+	for i := 0; i < 40; i++ {
+		l.MustAppend([]types.Value{ints[i%7], floats[(i/2)%7], dates[i%5], tags[i%2]})
+	}
+	for i := 0; i < 25; i++ {
+		r.MustAppend([]types.Value{floats[i%7], ints[(i/3)%7], dates[(i/2)%5], tags[(i/5)%2]})
+	}
+	preds := []string{
+		"lk = rk",                  // Int against Float: ±0 and 2^53 collisions
+		"lf = rk",                  // NaN and ±0 on both sides
+		"lk = ri and ltag != rtag", // Ints past 2^53, with a residual
+		"ld = rd",                  // Dates past 2^53 days
+		"rk = lf and lk > 0",       // key written right-to-left
+		"ltag = rtag and lk = ri",  // key conjunct second
+		"(lf = rk and ld = rd) and lk != 1",
+	}
+	for _, src := range preds {
+		pred := expr.MustParse(src)
+		for _, pair := range [][2]*Relation{{l, r}, {r, l}} {
+			a, b := pair[0], pair[1]
+			got, err := Join(a, b, pred, JoinHash, Exec{})
+			if err != nil {
+				t.Fatalf("join %q: %v", src, err)
+			}
+			want, rRename, err := joinShape(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			la, ra, _, ok := equiKey(pred, a, b, rRename)
+			if !ok {
+				t.Fatalf("join %q: no hash key", src)
+			}
+			if err := hashJoin(want, a, b, la, ra, joinEmit(want, pred)); err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() == 0 {
+				t.Fatalf("join %q matched nothing; the case proves nothing", src)
+			}
+			if kindFingerprint(t, got) != kindFingerprint(t, want) {
+				t.Errorf("join %q (%s ⋈ %s): output differs from full-predicate evaluation", src, a.Name(), b.Name())
+			}
+		}
+	}
+}
+
 func negZero() float64 {
 	z := 0.0
 	return -z
 }
 
-// TestMaterializedComputedMatchesInterpreted targets the materialization
-// plan head-on: computed attributes referenced many times (directly and
-// through other computed attributes) evaluate once per row in the
-// compiled path, and a definition that fails at runtime must still read
-// as null from its materialized slot, exactly as the interpreter's
-// per-reference evaluation reports it.
+// TestMaterializedComputedMatchesInterpreted targets computed
+// attributes head-on: referenced many times (directly and through other
+// computed attributes) the kernel evaluates each once per chunk, and a
+// definition that fails at runtime must still read as null, exactly as
+// the interpreter's per-reference evaluation reports it.
 func TestMaterializedComputedMatchesInterpreted(t *testing.T) {
 	ctx := context.Background()
 	r := bigRelation(t, 400)
@@ -469,22 +568,21 @@ func TestMaterializedComputedMatchesInterpreted(t *testing.T) {
 	}
 	for _, src := range preds {
 		pred := expr.MustParse(src)
-		compiled, err := Restrict(r, pred, Exec{})
+		kernel, err := Restrict(r, pred, Exec{})
 		if err != nil {
-			t.Fatalf("compiled restrict %q: %v", src, err)
+			t.Fatalf("kernel restrict %q: %v", src, err)
 		}
 		interpreted, err := Restrict(r, pred, Exec{Path: PathInterp})
 		if err != nil {
 			t.Fatalf("interpreted restrict %q: %v", src, err)
 		}
-		if got, want := relFingerprint(t, compiled), relFingerprint(t, interpreted); got != want {
-			t.Errorf("restrict %q differs:\n  compiled    %.120s\n  interpreted %.120s", src, got, want)
+		if got, want := relFingerprint(t, kernel), relFingerprint(t, interpreted); got != want {
+			t.Errorf("restrict %q differs:\n  kernel      %.120s\n  interpreted %.120s", src, got, want)
 		}
 	}
 
-	// The same predicates through a fused scan sharing one
-	// materialization plan across steps, against the unfused interpreted
-	// chain.
+	// The same predicates through a fused scan, against the unfused
+	// interpreted chain.
 	ops := []FusedOp{
 		{Pred: expr.MustParse(preds[0])},
 		{Project: []string{"id", "grp", "val"}},
@@ -508,6 +606,6 @@ func TestMaterializedComputedMatchesInterpreted(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, wantFP := relFingerprint(t, res.Out), relFingerprint(t, want); got != wantFP {
-		t.Errorf("fused scan differs:\n  compiled    %.120s\n  interpreted %.120s", got, wantFP)
+		t.Errorf("fused scan differs:\n  kernel      %.120s\n  interpreted %.120s", got, wantFP)
 	}
 }

@@ -91,7 +91,9 @@ func countAppends(d *TupleDelta) int {
 // oldOut is never mutated: appends extend past its length (invisible to
 // holders of the old slice header, the same discipline as the CoW table
 // append path) and in-place row replacements copy the outer slice first.
-func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *TupleDelta, x Exec) (*FusedResult, *TupleDelta, bool, error) {
+//
+// Delta rows are evaluated one at a time, so they run on the interpreter.
+func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *TupleDelta) (*FusedResult, *TupleDelta, bool, error) {
 	if len(ops) == 0 || newIn == nil || oldOut == nil {
 		return nil, nil, false, nil
 	}
@@ -101,7 +103,7 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 	if newIn.provBase != nil || oldOut.provBase == nil {
 		return nil, nil, false, nil
 	}
-	sh, err := fusedShapePass(ctx, newIn, ops, x)
+	sh, err := fusedShapePass(ctx, newIn, ops, Exec{Path: PathInterp})
 	if err != nil {
 		// The full chain would fail the same way; let the refire surface
 		// it with standard step attribution.
@@ -133,7 +135,6 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 		copied = true
 	}
 	var outOps []DeltaOp
-	var scratch []types.Value
 	sorted := false
 	for _, op := range deltaOps(d) {
 		switch op.Kind {
@@ -143,8 +144,7 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 			}
 			row := inLen
 			inLen++
-			var pass bool
-			pass, scratch, err = sh.evalRow(newIn, row, op.Tuple, scratch)
+			pass, err := sh.evalRow(newIn, row, op.Tuple)
 			if err != nil {
 				return nil, nil, false, nil
 			}
@@ -168,8 +168,7 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 				}
 				sorted = true
 			}
-			var pass bool
-			pass, scratch, err = sh.evalRow(newIn, op.Row, op.Tuple, scratch)
+			pass, err := sh.evalRow(newIn, op.Row, op.Tuple)
 			if err != nil {
 				return nil, nil, false, nil
 			}
@@ -210,13 +209,9 @@ func FusedDelta(ctx context.Context, newIn, oldOut *Relation, ops []FusedOp, d *
 // may be partially advanced — and must be discarded along with the memo
 // it maintained.
 type JoinState struct {
-	pred  expr.Node
+	resid expr.Node // the predicate less its hash-key conjunct; nil = true
 	shell *Relation // output shape: schema + surviving computed attrs
-	cp    *compiledPred
 	env   *scratchEnv
-
-	scratch    []types.Value
-	matScratch []types.Value
 
 	li, ri       int // key ordinals in l and r
 	bi, pi       int // key ordinals in build and probe
@@ -229,21 +224,14 @@ type JoinState struct {
 	lLen, rLen int
 }
 
-// residual evaluates the join predicate over one candidate (lt, rt) pair,
-// with identical semantics to Join's emit closure (compiled when
-// possible, computed attributes materialized).
+// residual evaluates the join predicate over one key-matched candidate
+// (lt, rt) pair, with identical semantics to hashJoin's emit step.
 func (s *JoinState) residual(lt, rt []types.Value) (bool, error) {
-	s.scratch = s.scratch[:0]
-	s.scratch = append(s.scratch, lt...)
-	s.scratch = append(s.scratch, rt...)
-	if s.cp != nil {
-		var keep bool
-		var err error
-		keep, s.matScratch, err = s.cp.eval(s.scratch, s.matScratch)
-		return keep, err
+	if s.resid == nil {
+		return true, nil
 	}
-	s.env.tuple = s.scratch
-	return expr.EvalPredicate(s.pred, s.env)
+	s.env.tuple = append(append(s.env.tuple[:0], lt...), rt...)
+	return expr.EvalPredicate(s.resid, s.env)
 }
 
 // outTuple materializes one output row from a kept pair.
@@ -266,7 +254,7 @@ func (s *JoinState) sides(ptup, btup []types.Value) (lt, rt []types.Value) {
 // to recover which (probe, build) pair produced each output row and
 // requires exact agreement with the memo; any join a hash strategy would
 // not have handled — no equi-conjunct, predicate errors — reports !ok.
-func BuildJoinState(oldL, oldR, oldOut *Relation, pred expr.Node, x Exec) (*JoinState, bool) {
+func BuildJoinState(oldL, oldR, oldOut *Relation, pred expr.Node) (*JoinState, bool) {
 	if oldL == nil || oldR == nil || oldOut == nil || pred == nil {
 		return nil, false
 	}
@@ -280,7 +268,7 @@ func BuildJoinState(oldL, oldR, oldOut *Relation, pred expr.Node, x Exec) (*Join
 	if !shell.schema.Equal(oldOut.schema) {
 		return nil, false
 	}
-	la, ra, ok := equiKey(pred, oldL, oldR, rRename)
+	la, ra, eq, ok := equiKey(pred, oldL, oldR, rRename)
 	if !ok {
 		return nil, false
 	}
@@ -289,16 +277,14 @@ func BuildJoinState(oldL, oldR, oldOut *Relation, pred expr.Node, x Exec) (*Join
 		return nil, false
 	}
 	s := &JoinState{
-		pred:  pred,
+		resid: withoutConjunct(pred, eq),
 		shell: shell,
-		cp:    shell.compilePredicate(pred, x),
 		env:   &scratchEnv{rel: shell},
 		li:    li,
 		ri:    ri,
 		lLen:  oldL.Len(),
 		rLen:  oldR.Len(),
 	}
-	s.scratch = make([]types.Value, 0, oldL.schema.Len()+oldR.schema.Len())
 	// Build-side selection mirrors hashJoin exactly: build on the right
 	// unless the left is strictly smaller.
 	build, probe := oldR, oldL

@@ -92,7 +92,7 @@ func TestFusedDeltaDifferential(t *testing.T) {
 				d.Ops = append(d.Ops, op)
 			}
 			cur = next
-			inc, outDelta, ok, err := FusedDelta(ctx, cur, memo, ops, &d, Exec{})
+			inc, outDelta, ok, err := FusedDelta(ctx, cur, memo, ops, &d)
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
@@ -154,7 +154,7 @@ func TestFusedDeltaMembershipFlipFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := &TupleDelta{Ops: []DeltaOp{{Kind: DeltaUpdate, Row: 1, Tuple: nt.Tuple(1), Old: old}}}
-	if _, _, ok, err := FusedDelta(ctx, nt, res.Out, ops, d, Exec{}); err != nil || ok {
+	if _, _, ok, err := FusedDelta(ctx, nt, res.Out, ops, d); err != nil || ok {
 		t.Fatalf("membership flip: ok=%v err=%v, want fallback", ok, err)
 	}
 	// A non-flipping update on the same row applies.
@@ -164,7 +164,7 @@ func TestFusedDeltaMembershipFlipFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2 := &TupleDelta{Ops: []DeltaOp{{Kind: DeltaUpdate, Row: 2, Tuple: nt2.Tuple(2), Old: old2}}}
-	inc, _, ok, err := FusedDelta(ctx, nt2, res.Out, ops, d2, Exec{})
+	inc, _, ok, err := FusedDelta(ctx, nt2, res.Out, ops, d2)
 	if err != nil || !ok {
 		t.Fatalf("in-place update: ok=%v err=%v, want applied", ok, err)
 	}
@@ -196,7 +196,7 @@ func TestFusedDeltaDoesNotMutateMemo(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(step)))
 		next, op := randomMutation(rng, cur)
 		cur = next
-		inc, _, ok, err := FusedDelta(ctx, cur, memo, ops, &TupleDelta{Ops: []DeltaOp{op}}, Exec{})
+		inc, _, ok, err := FusedDelta(ctx, cur, memo, ops, &TupleDelta{Ops: []DeltaOp{op}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestJoinStateDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		state, ok := BuildJoinState(l, r, out, pred, Exec{})
+		state, ok := BuildJoinState(l, r, out, pred)
 		if !ok {
 			t.Fatalf("seed %d: BuildJoinState declined", seed)
 		}
@@ -327,7 +327,7 @@ func TestJoinStateDifferential(t *testing.T) {
 			newOut, _, ok := state.Apply(l, r, dlp, drp)
 			if !ok {
 				fallbacks++
-				state, ok = BuildJoinState(l, r, full, pred, Exec{})
+				state, ok = BuildJoinState(l, r, full, pred)
 				if !ok {
 					t.Fatalf("seed %d step %d: rebuild declined", seed, step)
 				}
@@ -351,7 +351,7 @@ func TestJoinStateBuildUpdateFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, ok := BuildJoinState(l, r, out, pred, Exec{})
+	state, ok := BuildJoinState(l, r, out, pred)
 	if !ok {
 		t.Fatal("BuildJoinState declined")
 	}

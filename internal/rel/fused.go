@@ -54,49 +54,20 @@ type FusedResult struct {
 	Shapes []*Relation
 }
 
-// fusedPred is one compiled (or interpreted) restriction of the pipeline,
-// bound to the shape it was checked against and the mapping from that
-// shape's stored columns to the source relation's tuple ordinals.
+// fusedPred is one restriction of the pipeline, bound to the shape it
+// was checked against and the mapping from that shape's stored columns
+// to the source relation's tuple ordinals.
 type fusedPred struct {
-	step     int
-	node     expr.Node
-	compiled *expr.CompiledPredicate
-	shape    *Relation
-	colMap   []int
-}
-
-// mappedScope resolves a shape's attribute names to ordinals in the
-// SOURCE tuple layout, which is what a fused scan's predicates run over.
-// Computed attributes in mat resolve to their materialized slot past the
-// source columns (the scan shares one matPlan across every step — a
-// stored column's source ordinal is invariant across shapes, so one
-// extended row serves all predicates).
-type mappedScope struct {
+	step   int
+	node   expr.Node
 	shape  *Relation
 	colMap []int
-	mat    map[string]int
 }
 
-// ResolveAttr implements expr.CompileScope.
-func (s mappedScope) ResolveAttr(name string) (int, expr.Node, bool) {
-	if i := s.shape.schema.Index(name); i >= 0 {
-		return s.colMap[i], nil, true
-	}
-	if j, ok := s.mat[name]; ok {
-		return j, nil, true
-	}
-	for _, c := range s.shape.computed {
-		if c.Name == name {
-			return -1, c.Expr, true
-		}
-	}
-	return -1, nil, false
-}
-
-// mappedCursor is the interpreted counterpart of mappedScope: an expr.Env
-// reading one source row through a step's shape. When tup is set it is
-// read instead of src.tuples[row] — the delta path evaluates tuples that
-// are not (or not yet) the relation's current row content.
+// mappedCursor is an expr.Env reading one source row through a step's
+// shape. When tup is set it is read instead of src.tuples[row] — the
+// delta path evaluates tuples that are not (or not yet) the relation's
+// current row content.
 type mappedCursor struct {
 	src *Relation
 	fp  *fusedPred
@@ -127,9 +98,9 @@ func (m *mappedCursor) AttrValue(name string) (types.Value, bool) {
 // FusedScan runs the pipeline over r under x. Errors carry the failing
 // step as a *FusedStepError. The scan records a rel.fused_scan span
 // (parented under the span ctx carries) with a rel.compile.pass child
-// covering the shape-check and predicate-compilation phase. The compile
-// pass runs — and so records — on every path, keeping trace structure
-// identical across them.
+// covering the shape check and, on the kernel path, kernel compilation.
+// The compile pass runs — and so records — on every path, keeping trace
+// structure identical across them.
 func FusedScan(ctx context.Context, r *Relation, ops []FusedOp, x Exec) (*FusedResult, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("rel: fused scan: empty pipeline")
@@ -149,92 +120,73 @@ func FusedScan(ctx context.Context, r *Relation, ops []FusedOp, x Exec) (*FusedR
 
 // fusedShape is the result of a fused pipeline's shape pass over a source
 // relation: the per-step output shapes, the final stored-column mapping
-// back to source ordinals, and the checked (and, when enabled, compiled)
-// predicates bound to their shapes. FusedScan's row pass consumes it; the
-// incremental path (FusedDelta) reuses it to evaluate single rows.
+// back to source ordinals, the checked predicates bound to their shapes
+// and, when the kernel runs, their kernel programs. FusedScan's row pass
+// consumes it; the incremental path (FusedDelta) reuses it to evaluate
+// single rows.
 type fusedShape struct {
-	shape       *Relation   // final output shape (schema + surviving computed attrs)
-	shapes      []*Relation // per-step shapes, last == shape
-	colMap      []int       // final stored column -> source tuple ordinal
-	preds       []*fusedPred
-	matp        *matPlan
-	anyCompiled bool
-	identity    bool // output columns are the source columns in place
+	shape    *Relation   // final output shape (schema + surviving computed attrs)
+	shapes   []*Relation // per-step shapes, last == shape
+	colMap   []int       // final stored column -> source tuple ordinal
+	preds    []*fusedPred
+	progs    []*kernProg // one per pred; nil when the kernel does not run
+	identity bool        // output columns are the source columns in place
 }
 
 // fusedShapePass replays the schema and computed-attribute derivations the
 // unfused operators would perform, tracking for every surviving stored
-// column its ordinal in r's tuples. Checking and compiling happen here,
-// once, in step order — the same order the unfused chain would report a
-// bad predicate or projection in.
+// column its ordinal in r's tuples. Checking and kernel compilation
+// happen here, once, in step order — the same order the unfused chain
+// would report a bad predicate or projection in.
 func fusedShapePass(ctx context.Context, r *Relation, ops []FusedOp, x Exec) (*fusedShape, error) {
 	shape := &Relation{schema: r.schema, computed: r.computed}
 	colMap := make([]int, r.schema.Len())
 	for i := range colMap {
 		colMap[i] = i
 	}
-	var matp *matPlan
-	var mat map[string]int
 	shapes := make([]*Relation, len(ops))
 	var preds []*fusedPred
-	if err := func() error {
-		var csp *obs.Span
-		if obs.Recording() {
-			_, csp = obs.StartSpanCtx(ctx, obs.SpanRelCompile)
-		}
-		defer csp.End()
-		// One materialization plan for every computed attribute any
-		// predicate references, evaluated once per source row and shared by
-		// all steps (compiled predicates read the extended slots instead of
-		// re-walking the definitions per reference).
-		if x.compiles() {
-			var prednodes []expr.Node
-			for _, op := range ops {
-				if op.Pred != nil {
-					prednodes = append(prednodes, op.Pred)
-				}
-			}
-			matp, mat = r.buildMat(prednodes...)
-		}
-		for i, op := range ops {
-			switch {
-			case op.Pred != nil:
-				if err := expr.CheckPredicate(op.Pred, shape); err != nil {
-					return &FusedStepError{Step: i, Err: err}
-				}
-				fp := &fusedPred{step: i, node: op.Pred, shape: shape, colMap: colMap}
-				if x.compiles() {
-					if cp, err := expr.CompilePredicate(op.Pred, mappedScope{shape: shape, colMap: colMap, mat: mat}); err == nil {
-						obs.Inc(obs.RelCompile)
-						fp.compiled = cp
-					}
-				}
-				preds = append(preds, fp)
-				shape = shape.derive(shape.schema, true)
-			case op.Project != nil:
-				ns, err := shape.schema.project(op.Project)
-				if err != nil {
-					return &FusedStepError{Step: i, Err: err}
-				}
-				nm := make([]int, len(op.Project))
-				for j, name := range op.Project {
-					nm[j] = colMap[shape.schema.Index(name)]
-				}
-				shape = shape.derive(ns, true)
-				colMap = nm
-			default:
-				return &FusedStepError{Step: i, Err: fmt.Errorf("rel: fused scan: step %d is neither restrict nor project", i)}
-			}
-			shapes[i] = shape
-		}
-		return nil
-	}(); err != nil {
-		return nil, err
+	var csp *obs.Span
+	if obs.Recording() {
+		_, csp = obs.StartSpanCtx(ctx, obs.SpanRelCompile)
 	}
-	sh := &fusedShape{shape: shape, shapes: shapes, colMap: colMap, preds: preds, matp: matp}
-	for _, fp := range preds {
-		if fp.compiled != nil {
-			sh.anyCompiled = true
+	defer csp.End()
+	for i, op := range ops {
+		switch {
+		case op.Pred != nil:
+			if err := expr.CheckPredicate(op.Pred, shape); err != nil {
+				return nil, &FusedStepError{Step: i, Err: err}
+			}
+			preds = append(preds, &fusedPred{step: i, node: op.Pred, shape: shape, colMap: colMap})
+			shape = shape.derive(shape.schema, true)
+		case op.Project != nil:
+			ns, err := shape.schema.project(op.Project)
+			if err != nil {
+				return nil, &FusedStepError{Step: i, Err: err}
+			}
+			nm := make([]int, len(op.Project))
+			for j, name := range op.Project {
+				nm[j] = colMap[shape.schema.Index(name)]
+			}
+			shape = shape.derive(ns, true)
+			colMap = nm
+		default:
+			return nil, &FusedStepError{Step: i, Err: fmt.Errorf("rel: fused scan: step %d is neither restrict nor project", i)}
+		}
+		shapes[i] = shape
+	}
+	sh := &fusedShape{shape: shape, shapes: shapes, colMap: colMap, preds: preds}
+	if kernelEligible(r, x) && len(preds) > 0 {
+		maxRows := min(r.columnar().chunkRows, r.Len())
+		sh.progs = make([]*kernProg, len(preds))
+		for i, fp := range preds {
+			sc := kernScope{schema: fp.shape.schema, colMap: fp.colMap, computed: fp.shape.computed}
+			p, ok := kernelCompile(fp.node, sc, maxRows)
+			if !ok {
+				sh.progs = nil
+				break
+			}
+			sh.progs[i] = p
 		}
 	}
 	sh.identity = len(colMap) == r.schema.Len()
@@ -247,34 +199,22 @@ func fusedShapePass(ctx context.Context, r *Relation, ops []FusedOp, x Exec) (*f
 	return sh, nil
 }
 
-// evalRow runs every predicate of the pipeline over one source tuple,
-// returning whether it survives. tup must have the source relation's
-// stored arity; row is its ordinal in src (used by the interpreted path
-// for error parity and by provenance). The scratch slice is reused across
-// calls.
-func (sh *fusedShape) evalRow(src *Relation, row int, tup []types.Value, scratch []types.Value) (bool, []types.Value, error) {
-	ext := tup
-	if sh.matp != nil && sh.anyCompiled {
-		scratch = sh.matp.extend(tup, scratch)
-		ext = scratch
-	}
+// evalRow runs every predicate of the pipeline over one source tuple
+// through the interpreter, returning whether it survives. tup must have
+// the source relation's stored arity; row is its ordinal in src.
+func (sh *fusedShape) evalRow(src *Relation, row int, tup []types.Value) (bool, error) {
+	cur := &mappedCursor{src: src, row: row, tup: tup}
 	for _, fp := range sh.preds {
-		var ok bool
-		var err error
-		if fp.compiled != nil {
-			ok, err = fp.compiled.Eval(ext)
-		} else {
-			cur := &mappedCursor{src: src, fp: fp, row: row, tup: tup}
-			ok, err = expr.EvalPredicate(fp.node, cur)
-		}
+		cur.fp = fp
+		ok, err := expr.EvalPredicate(fp.node, cur)
 		if err != nil {
-			return false, scratch, &FusedStepError{Step: fp.step, Err: fmt.Errorf("rel: restrict: %w", err)}
+			return false, &FusedStepError{Step: fp.step, Err: fmt.Errorf("rel: restrict: %w", err)}
 		}
 		if !ok {
-			return false, scratch, nil
+			return false, nil
 		}
 	}
-	return true, scratch, nil
+	return true, nil
 }
 
 // projectRow maps one surviving source tuple into the output layout. With
@@ -296,8 +236,6 @@ func fusedScan(ctx context.Context, r *Relation, ops []FusedOp, x Exec) (*FusedR
 	if err != nil {
 		return nil, err
 	}
-	shape, colMap, preds, matp := sh.shape, sh.colMap, sh.preds, sh.matp
-	shapes, anyCompiled := sh.shapes, sh.anyCompiled
 
 	// Row pass: every predicate over every surviving row, in step order
 	// per row, over the original tuples. Chunks are contiguous, so
@@ -313,28 +251,12 @@ func fusedScan(ctx context.Context, r *Relation, ops []FusedOp, x Exec) (*FusedR
 		chunkRows := make([][]int, chunks)
 		err = runChunks(n, chunks, func(c, lo, hi int) error {
 			keep := make([]int, 0, (hi-lo)/4+8)
-			var cur *mappedCursor
-			var scratch []types.Value
-			rd := r.reader()
+			cur := &mappedCursor{src: r}
 			for i := lo; i < hi; i++ {
-				ext := rd.at(i)
-				if matp != nil && anyCompiled {
-					scratch = matp.extend(ext, scratch)
-					ext = scratch
-				}
 				pass := true
-				for _, fp := range preds {
-					var ok bool
-					var err error
-					if fp.compiled != nil {
-						ok, err = fp.compiled.Eval(ext)
-					} else {
-						if cur == nil {
-							cur = &mappedCursor{src: r}
-						}
-						cur.fp, cur.row, cur.tup = fp, i, nil
-						ok, err = expr.EvalPredicate(fp.node, cur)
-					}
+				for _, fp := range sh.preds {
+					cur.fp, cur.row = fp, i
+					ok, err := expr.EvalPredicate(fp.node, cur)
 					if err != nil {
 						return &FusedStepError{Step: fp.step, Err: fmt.Errorf("rel: restrict: %w", err)}
 					}
@@ -347,56 +269,31 @@ func fusedScan(ctx context.Context, r *Relation, ops []FusedOp, x Exec) (*FusedR
 					keep = append(keep, i)
 				}
 			}
-			if err := rd.Err(); err != nil {
-				return fmt.Errorf("rel: fused scan: %w", err)
-			}
 			chunkRows[c] = keep
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-
-		total := 0
-		for _, rs := range chunkRows {
-			total += len(rs)
-		}
-		rows = make([]int, 0, total)
-		for _, rs := range chunkRows {
-			rows = append(rows, rs...)
-		}
+		rows = collectRows(chunkRows)
 	}
 
 	// Materialize the final relation into the last shape. When every
 	// source column survives in place the output shares tuple storage with
 	// the input, exactly like an unfused Restrict.
-	out := shape
-	identity := len(colMap) == r.schema.Len()
-	for i, ci := range colMap {
-		if ci != i {
-			identity = false
-			break
-		}
-	}
+	out := sh.shape
 	out.tuples = make([][]types.Value, len(rows))
 	rd := r.reader()
-	if identity {
-		for i, row := range rows {
+	for i, row := range rows {
+		if sh.identity {
 			out.tuples[i] = rd.take(row)
-		}
-	} else {
-		for i, row := range rows {
-			src := rd.at(row)
-			nt := make([]types.Value, len(colMap))
-			for j, ci := range colMap {
-				nt[j] = src[ci]
-			}
-			out.tuples[i] = nt
+		} else {
+			out.tuples[i] = sh.projectRow(rd.at(row))
 		}
 	}
 	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("rel: fused scan: %w", err)
 	}
 	out.setProv(r, rows)
-	return &FusedResult{Out: out, Shapes: shapes}, nil
+	return &FusedResult{Out: out, Shapes: sh.shapes}, nil
 }

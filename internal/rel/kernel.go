@@ -8,26 +8,30 @@ import (
 	"repro/internal/types"
 )
 
-// This file is the columnar predicate kernel: a second expression
-// compiler that lowers a restriction predicate to monomorphic loops over
-// a chunk's contiguous typed lanes (internal/rel/chunk.go), producing
-// selection bitmaps instead of per-row values. It exists for the hot
-// scan paths only — Restrict and the fused Restrict/Project pipeline —
-// and is strictly best-effort: any node it cannot reproduce EXACTLY
-// rejects compilation and the caller keeps the row-at-a-time path
-// (compiled closures or the interpreter), which remains the semantics
-// of record and the differential oracle.
+// This file is the columnar kernel, the fast one of the two expression
+// evaluators (the other is the expr.Eval interpreter, the semantics of
+// record and the differential oracle). It lowers an expression to loops
+// over a chunk's contiguous typed lanes (internal/rel/chunk.go),
+// producing value lanes and selection bitmaps instead of per-row values.
+// It is total over the checked expression language: the common numeric,
+// boolean and Text-equality shapes get monomorphic loops, and every
+// other shape runs through one generic per-row node that calls the
+// interpreter's own operator (expr.Applier) on values read from its
+// children's lanes.
 //
 // Exactness argument. Append and Update enforce schema kinds, so at run
 // time every stored value has its declared kind or is null; the static
-// kinds the kernel computes are therefore the only kinds its lanes ever
-// hold. Within the node set the kernel accepts, the sole reachable
-// runtime error is integer or float division/modulo by zero. Those rows
-// are flagged in a per-chunk error bitmap and re-evaluated row-wise in
-// ascending order through the ordinary path, which both reproduces the
-// exact error value and preserves the "lowest failing row reports
-// first" determinism of a serial scan. Everything else is pure bitmap
-// algebra chosen to mirror the interpreter bit for bit:
+// kinds the kernel computes are therefore the kinds its lanes hold. A
+// row the kernel cannot reproduce exactly is flagged in the vector's
+// error bitmap: a runtime error (division or modulo by zero, a failing
+// builtin), a generic node whose result is not of its static kind (an
+// if() whose branches mix Int and Float, for example), or an error
+// inside a computed attribute's definition, which the interpreter turns
+// into null. Flagged rows re-evaluate row-wise through the interpreter
+// in ascending order, which reproduces the exact value or error and
+// preserves the "lowest failing row reports first" determinism of a
+// serial scan. Everything else is bitmap algebra chosen to mirror the
+// interpreter bit for bit:
 //
 //   - null propagation: null_out = null_l | null_r for every non-and/or
 //     operator, nulls collapsed to false at the predicate boundary;
@@ -44,23 +48,15 @@ import (
 //     <: a<b, <=: !(a>b), =: !(a<b)&&!(a>b), and so on — never native
 //     int comparisons, which would diverge past 2^53.
 //
-// Rejected outright (row path handles them): Date arithmetic, Bool
-// comparisons, Text ordering and concatenation (Text = / != is kept),
-// float modulo, builtin calls, and null literals. Computed attributes
-// inline their definitions recursively with a per-chunk memo, and an
-// error inside a definition forces that row's attribute to null — the
-// same swallowing Row.AttrValue and the closure compiler perform.
-
-// kernelMinRows is the row count below which a row-major relation is
-// not worth encoding into a columnar view for one scan.
-const kernelMinRows = DefaultChunkRows
+// Computed attributes inline their definitions recursively with a
+// per-chunk memo.
 
 // ---------------------------------------------------------------------
 // Bitmaps.
 
 // kbits is a row bitmap. Word counts follow the producing context's row
 // count; binary combinators run over the shorter operand (a constant
-// vector is sized for a full chunk, the last chunk of a relation is
+// vector is sized for the largest chunk, the last chunk of a relation is
 // shorter). Bits at or above the consumer's row count are meaningless
 // and every consuming loop is bounded, so trailing garbage is harmless.
 // A nil kbits means "no bits set" and may be returned shared by the
@@ -159,7 +155,8 @@ func kNot3(a, b, c kbits) kbits {
 
 // kvec is one expression node's value over a chunk: a typed lane plus
 // null and error bitmaps. Int, Date share the int64 lane; Bool is held
-// as bitmaps (t = true rows) rather than a lane. The three bitmaps are
+// as bitmaps (t = true rows) rather than a lane; Invalid (the kind of a
+// null literal) has no lane and every row null. The three bitmaps are
 // pairwise disjoint: an error row is neither null nor true, a null row
 // is not true. Lane slots under a null or error bit are garbage.
 type kvec struct {
@@ -169,7 +166,45 @@ type kvec struct {
 	strs   []string
 	t      kbits // Bool only; always non-nil for Bool vectors
 	null   kbits // nil = no nulls
-	errs   kbits // nil = no errors (division/modulo by zero)
+	errs   kbits // nil = no rows for the interpreter to redo
+}
+
+// value reassembles row i as a types.Value; the row must not be an
+// error row.
+func (v *kvec) value(i int) types.Value {
+	if v.null != nil && v.null.test(i) {
+		return types.Null
+	}
+	switch v.kind {
+	case types.Int:
+		return types.NewInt(v.ints[i])
+	case types.Date:
+		return types.NewDate(v.ints[i])
+	case types.Float:
+		return types.NewFloat(v.floats[i])
+	case types.Text:
+		return types.NewText(v.strs[i])
+	case types.Bool:
+		return types.NewBool(v.t != nil && v.t.test(i))
+	}
+	return types.Null
+}
+
+// newKvec returns an all-false, null-free vector of kind over n rows
+// with its lane allocated (zero-filled, per the kvec invariant).
+func newKvec(kind types.Kind, n int) *kvec {
+	out := &kvec{kind: kind}
+	switch kind {
+	case types.Int, types.Date:
+		out.ints = make([]int64, n)
+	case types.Float:
+		out.floats = make([]float64, n)
+	case types.Text:
+		out.strs = make([]string, n)
+	case types.Bool:
+		out.t = newKbits(n)
+	}
+	return out
 }
 
 // kctx is the per-chunk evaluation context. memo caches computed-
@@ -187,9 +222,10 @@ func (kc *kctx) reset(c *Chunk) {
 // kfn evaluates one compiled node over the context's chunk.
 type kfn func(kc *kctx) *kvec
 
-// kernProg is a kernel-compiled predicate.
+// kernProg is a kernel-compiled expression of static kind kind.
 type kernProg struct {
 	root kfn
+	kind types.Kind
 }
 
 // kernScope resolves attribute names for the kernel compiler: stored
@@ -218,15 +254,25 @@ func (s kernScope) resolve(name string) (ord int, kind types.Kind, def expr.Node
 	return -1, types.Invalid, nil, false
 }
 
-// kernelCompilePred compiles pred to a chunk kernel, or reports false
-// when any node falls outside the exactly-reproducible set.
-func kernelCompilePred(pred expr.Node, scope kernScope, maxRows int) (*kernProg, bool) {
+// AttrKind implements expr.Scope, so generic nodes take their static
+// kind from expr.Check.
+func (s kernScope) AttrKind(name string) (types.Kind, bool) {
+	_, kind, _, ok := s.resolve(name)
+	return kind, ok
+}
+
+// kernelCompile compiles n to a chunk kernel whose constant vectors are
+// sized for maxRows rows, the largest chunk it will see. It reports
+// false only for an expression that does not type-check against scope
+// (callers check first, so the interpreter then reports the error).
+func kernelCompile(n expr.Node, scope kernScope, maxRows int) (*kernProg, bool) {
 	c := &kernCompiler{scope: scope, maxRows: maxRows}
-	fn, kind, _, ok := c.compile(pred)
-	if !ok || kind != types.Bool {
+	fn, kind, _, ok := c.compile(n)
+	if !ok {
 		return nil, false
 	}
-	return &kernProg{root: fn}, true
+	obs.Inc(obs.RelCompile)
+	return &kernProg{root: fn, kind: kind}, true
 }
 
 // ---------------------------------------------------------------------
@@ -257,48 +303,27 @@ func (c *kernCompiler) compile(n expr.Node) (kfn, types.Kind, bool, bool) {
 
 // broadcast expands a single-row vector to maxRows rows.
 func (c *kernCompiler) broadcast(v *kvec, kind types.Kind) *kvec {
-	out := &kvec{kind: kind}
-	if (v.errs != nil && v.errs.test(0)) || (v.null != nil && v.null.test(0)) {
-		if v.errs != nil && v.errs.test(0) {
-			out.errs = onesKbits(c.maxRows)
-		} else {
-			out.null = onesKbits(c.maxRows)
-		}
-		// Zero-filled lanes keep the kvec invariant (error/null slots
-		// hold zero values) so arithmetic consumers can slice blindly.
-		switch kind {
-		case types.Int, types.Date:
-			out.ints = make([]int64, c.maxRows)
-		case types.Float:
-			out.floats = make([]float64, c.maxRows)
-		case types.Text:
-			out.strs = make([]string, c.maxRows)
-		case types.Bool:
-			out.t = newKbits(c.maxRows)
-		}
-		return out
-	}
-	switch kind {
-	case types.Int, types.Date:
-		out.ints = make([]int64, c.maxRows)
+	out := newKvec(kind, c.maxRows)
+	switch {
+	case v.errs != nil && v.errs.test(0):
+		out.errs = onesKbits(c.maxRows)
+	case kind == types.Invalid || (v.null != nil && v.null.test(0)):
+		out.null = onesKbits(c.maxRows)
+	case kind == types.Int || kind == types.Date:
 		for i := range out.ints {
 			out.ints[i] = v.ints[0]
 		}
-	case types.Float:
-		out.floats = make([]float64, c.maxRows)
+	case kind == types.Float:
 		for i := range out.floats {
 			out.floats[i] = v.floats[0]
 		}
-	case types.Text:
-		out.strs = make([]string, c.maxRows)
+	case kind == types.Text:
 		for i := range out.strs {
 			out.strs[i] = v.strs[0]
 		}
-	case types.Bool:
+	case kind == types.Bool:
 		if v.t.test(0) {
 			out.t = onesKbits(c.maxRows)
-		} else {
-			out.t = newKbits(c.maxRows)
 		}
 	}
 	return out
@@ -314,27 +339,23 @@ func (c *kernCompiler) compileNode(n expr.Node) (kfn, types.Kind, bool, bool) {
 	switch n := n.(type) {
 	case *expr.Lit:
 		v := n.Val
-		if v.IsNull() {
-			return nil, types.Invalid, false, false
-		}
 		kind := v.Kind()
-		single := &kvec{kind: kind}
+		single := newKvec(kind, 1)
 		switch kind {
 		case types.Int:
-			single.ints = []int64{v.Int()}
+			single.ints[0] = v.Int()
 		case types.Date:
-			single.ints = []int64{v.DateDays()}
+			single.ints[0] = v.DateDays()
 		case types.Float:
-			single.floats = []float64{v.Float()}
+			single.floats[0] = v.Float()
 		case types.Text:
-			single.strs = []string{v.Text()}
+			single.strs[0] = v.Text()
 		case types.Bool:
-			single.t = newKbits(1)
 			if v.Bool() {
 				single.t.set(0)
 			}
 		default:
-			return nil, types.Invalid, false, false
+			single.null = onesKbits(1)
 		}
 		return func(*kctx) *kvec { return single }, kind, true, true
 
@@ -384,41 +405,34 @@ func (c *kernCompiler) compileNode(n expr.Node) (kfn, types.Kind, bool, bool) {
 		if !ok {
 			return nil, types.Invalid, false, false
 		}
-		switch n.Op {
-		case "-":
-			switch kind {
-			case types.Int:
-				return func(kc *kctx) *kvec {
-					x := xf(kc)
-					res := make([]int64, kc.n)
-					lane := x.ints[:kc.n]
-					for i := range res {
-						res[i] = -lane[i]
-					}
-					return &kvec{kind: types.Int, ints: res, null: x.null, errs: x.errs}
-				}, types.Int, konst, true
-			case types.Float:
-				return func(kc *kctx) *kvec {
-					x := xf(kc)
-					res := make([]float64, kc.n)
-					lane := x.floats[:kc.n]
-					for i := range res {
-						res[i] = -lane[i]
-					}
-					return &kvec{kind: types.Float, floats: res, null: x.null, errs: x.errs}
-				}, types.Float, konst, true
-			}
-			return nil, types.Invalid, false, false
-		case "not":
-			if kind != types.Bool {
-				return nil, types.Invalid, false, false
-			}
+		switch {
+		case n.Op == "-" && kind == types.Int:
+			return func(kc *kctx) *kvec {
+				x := xf(kc)
+				res := make([]int64, kc.n)
+				lane := x.ints[:kc.n]
+				for i := range res {
+					res[i] = -lane[i]
+				}
+				return &kvec{kind: types.Int, ints: res, null: x.null, errs: x.errs}
+			}, types.Int, konst, true
+		case n.Op == "-" && kind == types.Float:
+			return func(kc *kctx) *kvec {
+				x := xf(kc)
+				res := make([]float64, kc.n)
+				lane := x.floats[:kc.n]
+				for i := range res {
+					res[i] = -lane[i]
+				}
+				return &kvec{kind: types.Float, floats: res, null: x.null, errs: x.errs}
+			}, types.Float, konst, true
+		case n.Op == "not" && kind == types.Bool:
 			return func(kc *kctx) *kvec {
 				x := xf(kc)
 				return &kvec{kind: types.Bool, t: kNot3(x.t, x.null, x.errs), null: x.null, errs: x.errs}
 			}, types.Bool, konst, true
 		}
-		return nil, types.Invalid, false, false
+		return c.generic(n, konst, xf)
 
 	case *expr.Binary:
 		lf, lk, lko, ok := c.compile(n.L)
@@ -433,7 +447,7 @@ func (c *kernCompiler) compileNode(n expr.Node) (kfn, types.Kind, bool, bool) {
 		switch n.Op {
 		case "and", "or":
 			if lk != types.Bool || rk != types.Bool {
-				return nil, types.Invalid, false, false
+				break
 			}
 			isAnd := n.Op == "and"
 			return func(kc *kctx) *kvec {
@@ -458,48 +472,122 @@ func (c *kernCompiler) compileNode(n expr.Node) (kfn, types.Kind, bool, bool) {
 
 		case "+", "-", "*", "/", "%":
 			if !isIF(lk) || !isIF(rk) {
-				return nil, types.Invalid, false, false
+				break
 			}
 			if lk == types.Int && rk == types.Int {
 				return c.intArith(n.Op, lf, rf), types.Int, konst, true
 			}
 			if n.Op == "%" {
-				// Float modulo goes through math.Mod in the interpreter;
-				// keep it on the row path.
-				return nil, types.Invalid, false, false
+				break // float modulo is math.Mod in the interpreter
 			}
 			lf = c.coerceFloat(lf, lk, lko)
 			rf = c.coerceFloat(rf, rk, rko)
 			return c.floatArith(n.Op, lf, rf), types.Float, konst, true
 
 		case "<", "<=", ">", ">=", "=", "!=":
-			if lk == types.Text && rk == types.Text {
-				if n.Op != "=" && n.Op != "!=" {
-					return nil, types.Invalid, false, false
-				}
+			if lk == types.Text && rk == types.Text && (n.Op == "=" || n.Op == "!=") {
 				return c.textEq(n.Op == "!=", lf, rf), types.Bool, konst, true
 			}
 			if !isNumericK(lk) || !isNumericK(rk) {
-				return nil, types.Invalid, false, false
+				break
 			}
 			if (n.Op == "=" || n.Op == "!=") && lk != rk && !(isIF(lk) && isIF(rk)) {
-				// comparable() rejects e.g. Date = Int at run time.
-				return nil, types.Invalid, false, false
+				break // comparable() rejects e.g. Date = Int
 			}
 			lf = c.coerceFloat(lf, lk, lko)
 			rf = c.coerceFloat(rf, rk, rko)
 			return c.floatCompare(n.Op, lf, rf), types.Bool, konst, true
 		}
-		return nil, types.Invalid, false, false
+		return c.generic(n, konst, lf, rf)
+
+	case *expr.Call:
+		args := make([]kfn, len(n.Args))
+		konst := true
+		for i, a := range n.Args {
+			fn, _, k, ok := c.compile(a)
+			if !ok {
+				return nil, types.Invalid, false, false
+			}
+			args[i] = fn
+			konst = konst && k
+		}
+		return c.generic(n, konst, args...)
 	}
-	// Calls (builtins) and anything unknown: row path.
 	return nil, types.Invalid, false, false
 }
 
-// compileComputed inlines a computed-attribute definition: evaluated
-// once per chunk (memoized by definition node), with any per-row error
-// inside the definition converted to null at this boundary — exactly
-// Row.AttrValue's swallowing.
+// generic lowers any operator node the monomorphic loops do not cover:
+// row by row, it reads the operands from the children's lanes and
+// applies the interpreter's own operator. A row with an operand error,
+// an error from the operator, or a result whose kind differs from the
+// node's static kind goes to the error bitmap, so the interpreter redoes
+// it.
+func (c *kernCompiler) generic(n expr.Node, konst bool, argFns ...kfn) (kfn, types.Kind, bool, bool) {
+	apply, ok := expr.Applier(n)
+	if !ok {
+		return nil, types.Invalid, false, false
+	}
+	kind, err := expr.Check(n, c.scope)
+	if err != nil {
+		return nil, types.Invalid, false, false
+	}
+	return func(kc *kctx) *kvec {
+		rows := kc.n
+		out := newKvec(kind, rows)
+		errs := newKbits(rows)
+		args := make([]*kvec, len(argFns))
+		for j, f := range argFns {
+			args[j] = f(kc)
+			for w := range errs {
+				if e := args[j].errs; e != nil && w < len(e) {
+					errs[w] |= e[w]
+				}
+			}
+		}
+		var null kbits
+		vals := make([]types.Value, len(args))
+		for i := 0; i < rows; i++ {
+			if errs.test(i) {
+				continue
+			}
+			for j, a := range args {
+				vals[j] = a.value(i)
+			}
+			v, err := apply(vals)
+			switch {
+			case err != nil || (!v.IsNull() && v.Kind() != kind):
+				errs.set(i)
+			case v.IsNull():
+				if null == nil {
+					null = newKbits(rows)
+				}
+				null.set(i)
+			case kind == types.Int:
+				out.ints[i] = v.Int()
+			case kind == types.Date:
+				out.ints[i] = v.DateDays()
+			case kind == types.Float:
+				out.floats[i] = v.Float()
+			case kind == types.Text:
+				out.strs[i] = v.Text()
+			case kind == types.Bool:
+				if v.Bool() {
+					out.t.set(i)
+				}
+			}
+		}
+		out.null = null
+		if kAny(errs) {
+			out.errs = errs
+		}
+		return out
+	}, kind, konst, true
+}
+
+// compileComputed inlines a computed-attribute definition, evaluated
+// once per chunk (memoized by definition node). The interpreter reads a
+// definition that fails as null; here its error rows stay error rows,
+// so the interpreter redoes the whole row and applies that rule itself.
 func (c *kernCompiler) compileComputed(def expr.Node) (kfn, types.Kind, bool, bool) {
 	c.depth++
 	if c.depth > 64 {
@@ -512,18 +600,10 @@ func (c *kernCompiler) compileComputed(def expr.Node) (kfn, types.Kind, bool, bo
 		return nil, types.Invalid, false, false
 	}
 	fn := func(kc *kctx) *kvec {
-		if kc.memo != nil {
-			if v, ok := kc.memo[def]; ok {
-				return v
-			}
+		if v, ok := kc.memo[def]; ok {
+			return v
 		}
 		v := sub(kc)
-		if v.errs != nil {
-			nv := *v
-			nv.null = kOr(v.null, v.errs)
-			nv.errs = nil
-			v = &nv
-		}
 		if kc.memo == nil {
 			kc.memo = make(map[expr.Node]*kvec)
 		}
@@ -714,8 +794,8 @@ func (c *kernCompiler) floatCompare(op string, lf, rf kfn) kfn {
 	}
 }
 
-// textEq lowers Text equality (the one Text comparison the kernel
-// keeps; ordering goes through strings.Compare on the row path).
+// textEq lowers Text equality (the one Text comparison with a
+// monomorphic loop; ordering goes through the generic node).
 func (c *kernCompiler) textEq(neq bool, lf, rf kfn) kfn {
 	return func(kc *kctx) *kvec {
 		l, r := lf(kc), rf(kc)
@@ -745,50 +825,40 @@ func (c *kernCompiler) textEq(neq bool, lf, rf kfn) kfn {
 // ---------------------------------------------------------------------
 // Drivers.
 
-// kernelEligible gates kernel use: only PathAuto runs kernels, and small
-// row-major relations are not worth encoding.
+// kernelEligible gates kernel use: only PathAuto runs kernels, and an
+// empty relation has nothing to scan.
 func kernelEligible(r *Relation, x Exec) bool {
-	if !x.kernels() {
-		return false
-	}
-	n := r.Len()
-	if n == 0 {
-		return false
-	}
-	if r.cols == nil && n < kernelMinRows {
-		return false
-	}
-	return true
+	return x.kernels() && r.Len() > 0
 }
 
-// kernelRestrictRows evaluates pred over r with the columnar kernel,
-// returning the surviving rows in ascending order. ok=false means the
-// kernel declined (x's path, small input, or unsupported node) and the
-// caller must use the row path. Rows flagged by the kernel's error
-// bitmap re-evaluate row-wise in ascending order through cp (or the
-// interpreter), reproducing the exact error and its serial-scan
-// position; errors return unwrapped for the caller to prefix.
-func kernelRestrictRows(r *Relation, pred expr.Node, cp *compiledPred, x Exec) ([]int, bool, error) {
-	if !kernelEligible(r, x) {
-		return nil, false, nil
+// kernelScope is the kernel's name space over r's own columns.
+func kernelScope(r *Relation) kernScope {
+	return kernScope{schema: r.schema, computed: r.computed}
+}
+
+// collectRows concatenates per-chunk ascending row lists in chunk order.
+func collectRows(chunkRows [][]int) []int {
+	total := 0
+	for _, ks := range chunkRows {
+		total += len(ks)
 	}
-	cs := r.columnar()
-	prog, ok := kernelCompilePred(pred, kernScope{schema: r.schema, computed: r.computed}, cs.chunkRows)
-	if !ok {
-		return nil, false, nil
+	rows := make([]int, 0, total)
+	for _, ks := range chunkRows {
+		rows = append(rows, ks...)
 	}
-	obs.Inc(obs.RelKernelScans)
+	return rows
+}
+
+// kernelScan runs fn over every chunk of r's columnar view cs,
+// chunk-parallel under x. fn gets a kernel context reset to the chunk,
+// the chunk's index and first row, and a cursor over r for redoing
+// flagged rows on the interpreter. Errors return unwrapped, the lowest
+// chunk's first.
+func kernelScan(r *Relation, cs *colStore, x Exec, fn func(kc *kctx, ci, base int, cur *rowCursor) error) error {
 	nchunks := len(cs.slots)
-	workers := x.chunks(r.Len())
-	if workers > nchunks {
-		workers = nchunks
-	}
-	chunkKeep := make([][]int, nchunks)
-	err := runChunks(nchunks, workers, func(_, lo, hi int) error {
+	return runChunks(nchunks, min(x.chunks(r.Len()), nchunks), func(_, lo, hi int) error {
 		var kc kctx
-		var scratch []types.Value
-		var cur *rowCursor
-		rd := r.reader()
+		cur := newRowCursor(r)
 		for ci := lo; ci < hi; ci++ {
 			ck, err := cs.chunk(ci)
 			if err != nil {
@@ -796,98 +866,143 @@ func kernelRestrictRows(r *Relation, pred expr.Node, cp *compiledPred, x Exec) (
 			}
 			base, _ := cs.chunkSpan(ci)
 			kc.reset(ck)
-			v := prog.root(&kc)
-			keep := make([]int, 0, kc.n/4+8)
-			if v.errs == nil {
-				for i := 0; i < kc.n; i++ {
-					if v.t.test(i) {
-						keep = append(keep, base+i)
+			if err := fn(&kc, ci, base, cur); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// redoRow positions cur on a row the kernel flagged and evaluates it on
+// the interpreter.
+func redoRow[T any](cur *rowCursor, row int, eval func(env expr.Env) (T, error)) (T, error) {
+	obs.Inc(obs.RelKernelFallback)
+	cur.idx = row
+	v, err := eval(cur)
+	if err == nil {
+		err = cur.rd.Err()
+	}
+	return v, err
+}
+
+// kernelPartitionRows assigns each row of r to the first of preds that
+// holds on it, with the kernel, returning each predicate's rows in
+// ascending order; Restrict is the one-predicate case. A flagged row
+// re-evaluates its predicate on the interpreter, so the first error
+// reported is the one a serial scan through the predicates in order
+// hits first. ok=false means the kernel declined (x's path, an empty
+// relation, or a predicate that does not check) and the caller must use
+// the interpreter.
+func kernelPartitionRows(r *Relation, preds []expr.Node, x Exec) ([][]int, bool, error) {
+	if !kernelEligible(r, x) {
+		return nil, false, nil
+	}
+	cs := r.columnar()
+	progs := make([]*kernProg, len(preds))
+	for i, p := range preds {
+		prog, ok := kernelCompile(p, kernelScope(r), min(cs.chunkRows, r.Len()))
+		if !ok || prog.kind != types.Bool {
+			return nil, false, nil
+		}
+		progs[i] = prog
+	}
+	chunkParts := make([][][]int, len(cs.slots))
+	err := kernelScan(r, cs, x, func(kc *kctx, ci, base int, cur *rowCursor) error {
+		vs := make([]*kvec, len(progs))
+		for k, prog := range progs {
+			vs[k] = prog.root(kc)
+		}
+		parts := make([][]int, len(preds))
+		for i := 0; i < kc.n; i++ {
+			for k, v := range vs {
+				keep := v.t != nil && v.t.test(i)
+				if v.errs != nil && v.errs.test(i) {
+					var err error
+					if keep, err = redoRow(cur, base+i, func(env expr.Env) (bool, error) {
+						return expr.EvalPredicate(preds[k], env)
+					}); err != nil {
+						return err
 					}
 				}
-			} else {
-				for i := 0; i < kc.n; i++ {
-					row := base + i
-					if v.errs.test(i) {
-						// Counted at detection so aborting on the error
-						// still reports the diverted row.
-						obs.Inc(obs.RelKernelFallback)
-						var ok bool
-						var err error
-						if cp != nil {
-							ok, scratch, err = cp.eval(rd.at(row), scratch)
-							if err == nil {
-								err = rd.Err()
-							}
-						} else {
-							if cur == nil {
-								cur = newRowCursor(r)
-							}
-							cur.idx = row
-							ok, err = expr.EvalPredicate(pred, cur)
-							if err == nil {
-								err = cur.rd.Err()
-							}
-						}
-						if err != nil {
-							return err
-						}
-						if ok {
-							keep = append(keep, row)
-						}
-					} else if v.t.test(i) {
-						keep = append(keep, row)
-					}
+				if keep {
+					parts[k] = append(parts[k], base+i)
+					break
 				}
 			}
-			chunkKeep[ci] = keep
+		}
+		chunkParts[ci] = parts
+		return nil
+	})
+	if err != nil {
+		return nil, true, err
+	}
+	rows := make([][]int, len(preds))
+	per := make([][]int, len(chunkParts))
+	for k := range rows {
+		for ci, parts := range chunkParts {
+			per[ci] = parts[k]
+		}
+		rows[k] = collectRows(per)
+	}
+	return rows, true, nil
+}
+
+// kernelValues evaluates def for every row of r with the kernel, the
+// value-producing counterpart of kernelPartitionRows: a flagged row
+// takes the interpreter's value, or fails with rowErr(row, its error),
+// lowest row first. ok=false declines to the interpreter.
+func kernelValues(r *Relation, def expr.Node, x Exec, rowErr func(row int, err error) error) ([]types.Value, bool, error) {
+	if !kernelEligible(r, x) {
+		return nil, false, nil
+	}
+	cs := r.columnar()
+	prog, ok := kernelCompile(def, kernelScope(r), min(cs.chunkRows, r.Len()))
+	if !ok {
+		return nil, false, nil
+	}
+	vals := make([]types.Value, r.Len())
+	err := kernelScan(r, cs, x, func(kc *kctx, _, base int, cur *rowCursor) error {
+		v := prog.root(kc)
+		for i := 0; i < kc.n; i++ {
+			if v.errs == nil || !v.errs.test(i) {
+				vals[base+i] = v.value(i)
+				continue
+			}
+			val, err := redoRow(cur, base+i, func(env expr.Env) (types.Value, error) {
+				return expr.Eval(def, env)
+			})
+			if err != nil {
+				return rowErr(base+i, err)
+			}
+			vals[base+i] = val
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, true, err
 	}
-	total := 0
-	for _, ks := range chunkKeep {
-		total += len(ks)
-	}
-	rows := make([]int, 0, total)
-	for _, ks := range chunkKeep {
-		rows = append(rows, ks...)
-	}
-	return rows, true, nil
+	return vals, true, nil
 }
 
 // kernelFusedRows evaluates every restriction of a fused pipeline over
 // r's chunks with selection-vector composition: step k runs only
 // against rows still selected when entering it (its errors on already-
-// dropped rows are ignored, mirroring the row path's short-circuit),
+// dropped rows are ignored, mirroring the interpreter's short-circuit),
 // and error rows re-evaluate row-wise through sh.evalRow in ascending
-// order, preserving exact step attribution. ok=false declines to the
-// row path. Every pipeline step must kernel-compile, or none runs.
+// order, preserving exact step attribution. ok=false (no kernels
+// compiled by the shape pass) declines to the interpreter.
 func kernelFusedRows(r *Relation, sh *fusedShape, x Exec) ([]int, bool, error) {
-	if !kernelEligible(r, x) || len(sh.preds) == 0 {
+	if sh.progs == nil {
 		return nil, false, nil
 	}
-	cs := r.columnar()
-	progs := make([]*kernProg, len(sh.preds))
-	for i, fp := range sh.preds {
-		sc := kernScope{schema: fp.shape.schema, colMap: fp.colMap, computed: fp.shape.computed}
-		p, ok := kernelCompilePred(fp.node, sc, cs.chunkRows)
-		if !ok {
-			return nil, false, nil
-		}
-		progs[i] = p
-	}
 	obs.Inc(obs.RelKernelScans)
+	cs := r.columnar()
 	nchunks := len(cs.slots)
-	w := x.chunks(r.Len())
-	if w > nchunks {
-		w = nchunks
-	}
 	chunkKeep := make([][]int, nchunks)
-	err := runChunks(nchunks, w, func(_, lo, hi int) error {
+	err := runChunks(nchunks, min(x.chunks(r.Len()), nchunks), func(_, lo, hi int) error {
 		var kc kctx
-		var scratch, tup []types.Value
+		var tup []types.Value
 		for ci := lo; ci < hi; ci++ {
 			ck, err := cs.chunk(ci)
 			if err != nil {
@@ -898,7 +1013,7 @@ func kernelFusedRows(r *Relation, sh *fusedShape, x Exec) ([]int, bool, error) {
 			cn := kc.n
 			sel := onesKbits(cn)
 			var fallback kbits
-			for _, prog := range progs {
+			for _, prog := range sh.progs {
 				v := prog.root(&kc)
 				if v.errs != nil {
 					if nf := kAnd(v.errs, sel); kAny(nf) {
@@ -911,28 +1026,19 @@ func kernelFusedRows(r *Relation, sh *fusedShape, x Exec) ([]int, bool, error) {
 				}
 			}
 			keep := make([]int, 0, cn/4+8)
-			if fallback == nil {
-				for i := 0; i < cn; i++ {
-					if sel.test(i) {
+			for i := 0; i < cn; i++ {
+				if fallback != nil && fallback.test(i) {
+					obs.Inc(obs.RelKernelFallback)
+					tup = ck.DecodeRow(i, tup[:0])
+					ok, err := sh.evalRow(r, base+i, tup)
+					if err != nil {
+						return err
+					}
+					if ok {
 						keep = append(keep, base+i)
 					}
-				}
-			} else {
-				for i := 0; i < cn; i++ {
-					if fallback.test(i) {
-						obs.Inc(obs.RelKernelFallback)
-						tup = ck.DecodeRow(i, tup[:0])
-						ok, s2, err := sh.evalRow(r, base+i, tup, scratch)
-						scratch = s2
-						if err != nil {
-							return err
-						}
-						if ok {
-							keep = append(keep, base+i)
-						}
-					} else if sel.test(i) {
-						keep = append(keep, base+i)
-					}
+				} else if sel != nil && sel.test(i) {
+					keep = append(keep, base+i)
 				}
 			}
 			chunkKeep[ci] = keep
@@ -942,13 +1048,5 @@ func kernelFusedRows(r *Relation, sh *fusedShape, x Exec) ([]int, bool, error) {
 	if err != nil {
 		return nil, true, err
 	}
-	total := 0
-	for _, ks := range chunkKeep {
-		total += len(ks)
-	}
-	rows := make([]int, 0, total)
-	for _, ks := range chunkKeep {
-		rows = append(rows, ks...)
-	}
-	return rows, true, nil
+	return collectRows(chunkKeep), true, nil
 }

@@ -12,8 +12,7 @@ import (
 	"repro/internal/types"
 )
 
-// kernelRelation builds a relation above the kernel's row threshold with
-// every storable kind, nulls in every column, zero divisors, NaN floats,
+// kernelRelation builds a relation with every storable kind, nulls in every column, zero divisors, NaN floats,
 // and computed attributes (one of which always errors), so the kernel's
 // bitmap algebra is exercised against the interpreter over the full
 // value space.
@@ -79,76 +78,66 @@ func asChunkBacked(t testing.TB, r *Relation, chunkRows int) *Relation {
 	return out
 }
 
-// kernelPreds is the differential corpus. kernel marks predicates the
-// chunk kernel is expected to accept; the rest must reject cleanly and
-// take the row path (Calls, text ordering, date arithmetic, float
-// modulo, bool comparison).
-var kernelPreds = []struct {
-	src    string
-	kernel bool
-}{
-	{"a + b * 2 - id % 7 > 0", true},
-	{"b != 0 and a / b > 1", true}, // short-circuit masks the zero divisors
-	{"b != 0 and a % b = 0", true},
-	{"x > 10.0 or y < -2.5", true},
-	{"x > a", true},
-	{"a * 1.5 <= y + 0.25", true},
-	{"tag = 'bb'", true},
-	{"tag != 'a' and a >= 0", true},
-	{"flag and x > 0.0", true},
-	{"not flag or a = 3", true},
-	{"d >= d2", true},
-	{"d != d2 or flag", true},
-	{"-a < 2 and -x < 19.5", true},
-	{"a > 2 + 3", true},
-	{"score > 1.0", true},
-	{"ib > 5 and score < 30.0", true},
-	{"broken > 0 or a < 0", true},                    // erroring computed reads as null
-	{"x = x", true},                                  // NaN compares equal under three-way float compare
-	{"id * 1000000000000 * 1000000000000 > 0", true}, // int64 wrap
-	{"(a > 0 and b > 0) or (x < 0.0 and not flag)", true},
-	{"hot or y > 4.0", true},
-	{"len(tag) > 2", false},  // builtin call
-	{"tag < 'c'", false},     // text ordering
-	{"d - d2 > 10", false},   // date arithmetic
-	{"y % 3.0 = 0.0", false}, // float modulo
-	{"flag = true", false},   // bool comparison
-	{"contains(tag, 'c')", false},
+// kernelPreds is the differential corpus. The kernel runs every
+// predicate: the monomorphic shapes and, through its generic per-row
+// node, builtin calls, Text ordering and concatenation, Date
+// arithmetic, float modulo, Bool comparison and null literals.
+var kernelPreds = []string{
+	"a + b * 2 - id % 7 > 0",
+	"b != 0 and a / b > 1", // short-circuit masks the zero divisors
+	"b != 0 and a % b = 0",
+	"x > 10.0 or y < -2.5",
+	"x > a",
+	"a * 1.5 <= y + 0.25",
+	"tag = 'bb'",
+	"tag != 'a' and a >= 0",
+	"flag and x > 0.0",
+	"not flag or a = 3",
+	"d >= d2",
+	"d != d2 or flag",
+	"-a < 2 and -x < 19.5",
+	"a > 2 + 3",
+	"score > 1.0",
+	"ib > 5 and score < 30.0",
+	"broken > 0 or a < 0",                    // erroring computed reads as null
+	"x = x",                                  // NaN compares equal under three-way float compare
+	"id * 1000000000000 * 1000000000000 > 0", // int64 wrap
+	"(a > 0 and b > 0) or (x < 0.0 and not flag)",
+	"hot or y > 4.0",
+	"len(tag) > 2",  // builtin call
+	"tag < 'c'",     // text ordering
+	"d - d2 > 10",   // date arithmetic
+	"y % 3.0 > 0.0", // float modulo
+	"flag = true",   // bool comparison
+	"contains(tag, 'c')",
+	"tag || 'x' = 'bbx' or d + 3 < d2",
+	"if(flag, a, x) / 2 > 1",           // runtime Int where the static kind is Float
+	"str(null) = tag or sqrt(x) > 2.0", // null literal; sqrt of a negative is NaN
 }
 
-// TestKernelRestrictMatchesRowPaths holds the kernel equal to both the
-// compiled-closure path and the interpreter over a relation large
-// enough to clear the kernel threshold, and checks the kernel really
-// ran (or really declined) per predicate.
+// TestKernelRestrictMatchesRowPaths holds the kernel equal to the
+// interpreter over a relation of several chunks, and checks the kernel
+// really ran for every predicate.
 func TestKernelRestrictMatchesRowPaths(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	r := kernelRelation(t, 2*DefaultChunkRows+123)
-	for _, tc := range kernelPreds {
-		pred := expr.MustParse(tc.src)
+	for _, src := range kernelPreds {
+		pred := expr.MustParse(src)
 		before := obs.CounterValue(obs.RelKernelScans)
 		got, err := Restrict(r, pred, Exec{})
 		if err != nil {
-			t.Fatalf("kernel restrict %q: %v", tc.src, err)
+			t.Fatalf("kernel restrict %q: %v", src, err)
 		}
-		ran := obs.CounterValue(obs.RelKernelScans) > before
-		if ran != tc.kernel {
-			t.Errorf("restrict %q: kernel ran=%v, want %v", tc.src, ran, tc.kernel)
-		}
-		rowPath, err := Restrict(r, pred, Exec{Path: PathRow})
-		if err != nil {
-			t.Fatalf("compiled restrict %q: %v", tc.src, err)
+		if obs.CounterValue(obs.RelKernelScans) == before {
+			t.Errorf("restrict %q: kernel did not run", src)
 		}
 		interp, err := Restrict(r, pred, Exec{Path: PathInterp})
 		if err != nil {
-			t.Fatalf("interpreted restrict %q: %v", tc.src, err)
+			t.Fatalf("interpreted restrict %q: %v", src, err)
 		}
-		kfp := relFingerprint(t, got)
-		if cfp := relFingerprint(t, rowPath); kfp != cfp {
-			t.Errorf("restrict %q: kernel differs from compiled row path", tc.src)
-		}
-		if ifp := relFingerprint(t, interp); kfp != ifp {
-			t.Errorf("restrict %q: kernel differs from interpreter", tc.src)
+		if relFingerprint(t, got) != relFingerprint(t, interp) {
+			t.Errorf("restrict %q: kernel differs from interpreter", src)
 		}
 	}
 }
@@ -159,24 +148,24 @@ func TestKernelRestrictMatchesRowPaths(t *testing.T) {
 func TestKernelChunkBackedMatches(t *testing.T) {
 	row := kernelRelation(t, 3000)
 	cb := asChunkBacked(t, row, 256)
-	for _, tc := range kernelPreds {
-		pred := expr.MustParse(tc.src)
+	for _, src := range kernelPreds {
+		pred := expr.MustParse(src)
 		got, err := Restrict(cb, pred, Exec{})
 		if err != nil {
-			t.Fatalf("chunk-backed restrict %q: %v", tc.src, err)
+			t.Fatalf("chunk-backed restrict %q: %v", src, err)
 		}
 		want, err := Restrict(row, pred, Exec{Path: PathInterp})
 		if err != nil {
-			t.Fatalf("interpreted restrict %q: %v", tc.src, err)
+			t.Fatalf("interpreted restrict %q: %v", src, err)
 		}
 		if got.Len() != want.Len() {
-			t.Fatalf("restrict %q: %d rows vs %d interpreted", tc.src, got.Len(), want.Len())
+			t.Fatalf("restrict %q: %d rows vs %d interpreted", src, got.Len(), want.Len())
 		}
 		for i := 0; i < got.Len(); i++ {
 			gt, wt := got.Tuple(i), want.Tuple(i)
 			for c := range gt {
 				if keyOf(gt[c]) != keyOf(wt[c]) || gt[c].Kind() != wt[c].Kind() {
-					t.Fatalf("restrict %q row %d col %d: %v vs %v", tc.src, i, c, gt[c], wt[c])
+					t.Fatalf("restrict %q row %d col %d: %v vs %v", src, i, c, gt[c], wt[c])
 				}
 			}
 		}
@@ -184,31 +173,29 @@ func TestKernelChunkBackedMatches(t *testing.T) {
 }
 
 // TestKernelErrorParity: an unguarded zero divisor must surface the
-// same error, attributed to the same first failing row, in all three
-// execution modes — the kernel's error bitmap plus ascending row-wise
+// same error, attributed to the same first failing row, on both
+// evaluators — the kernel's error bitmap plus ascending row-wise
 // fallback reproduces the serial scan's first error exactly.
 func TestKernelErrorParity(t *testing.T) {
 	r := kernelRelation(t, 2*DefaultChunkRows+50)
-	for _, src := range []string{"a / b > 0", "a % b = 0", "y / 0.0 > 1.0", "a > 1 / 0"} {
+	for _, src := range []string{"a / b > 0", "a % b = 0", "y / 0.0 > 1.0", "a > 1 / 0", "y % 0.0 > 1.0", "len(tag) / b > 0"} {
 		pred := expr.MustParse(src)
 		_, kerr := Restrict(r, pred, Exec{})
 		if kerr == nil {
 			t.Fatalf("restrict %q: kernel path did not error", src)
 		}
-		_, cerr := Restrict(r, pred, Exec{Path: PathRow})
 		_, ierr := Restrict(r, pred, Exec{Path: PathInterp})
-		if cerr == nil || ierr == nil {
-			t.Fatalf("restrict %q: row paths did not error", src)
+		if ierr == nil {
+			t.Fatalf("restrict %q: interpreter did not error", src)
 		}
-		if kerr.Error() != cerr.Error() || kerr.Error() != ierr.Error() {
-			t.Fatalf("restrict %q error drift:\n  kernel      %v\n  compiled    %v\n  interpreted %v",
-				src, kerr, cerr, ierr)
+		if kerr.Error() != ierr.Error() {
+			t.Fatalf("restrict %q error drift:\n  kernel      %v\n  interpreted %v", src, kerr, ierr)
 		}
 	}
 }
 
 // TestKernelFusedMatchesChain holds the fused kernel equal to the
-// kernel-off fused scan and to the unfused interpreted chain, over both
+// interpreted fused scan and to the unfused interpreted chain, over both
 // row-major and chunk-backed sources.
 func TestKernelFusedMatchesChain(t *testing.T) {
 	ctx := context.Background()
@@ -226,8 +213,8 @@ func TestKernelFusedMatchesChain(t *testing.T) {
 			{Project: []string{"id", "x"}},
 		},
 		{
-			// Step 1 rejects kernel compilation (builtin call): the whole
-			// pipeline must take the row path and still agree.
+			// Step 1 is a builtin call, which the kernel's generic node
+			// evaluates.
 			{Pred: expr.MustParse("a > -8")},
 			{Pred: expr.MustParse("len(tag) >= 1")},
 		},
@@ -239,12 +226,12 @@ func TestKernelFusedMatchesChain(t *testing.T) {
 			t.Fatalf("pipeline %d fused: %v", pi, err)
 		}
 		t.Logf("pipeline %d: kernel scans +%d", pi, obs.CounterValue(obs.RelKernelScans)-before)
-		off, err := FusedScan(ctx, r, ops, Exec{Path: PathRow, Workers: 4})
+		off, err := FusedScan(ctx, r, ops, Exec{Path: PathInterp, Workers: 4})
 		if err != nil {
-			t.Fatalf("pipeline %d fused (kernel off): %v", pi, err)
+			t.Fatalf("pipeline %d fused (interpreted): %v", pi, err)
 		}
 		if relFingerprint(t, res.Out) != relFingerprint(t, off.Out) {
-			t.Errorf("pipeline %d: fused kernel differs from row path", pi)
+			t.Errorf("pipeline %d: fused kernel differs from the interpreter", pi)
 		}
 		want := r
 		for _, op := range ops {
@@ -296,9 +283,9 @@ func TestKernelFusedErrorAttribution(t *testing.T) {
 	if err == nil || !errors.As(err, &se) || se.Step != 1 {
 		t.Fatalf("kernel fused error %v not attributed to step 1", err)
 	}
-	_, offErr := FusedScan(ctx, r, ops, Exec{Path: PathRow, Workers: 4})
+	_, offErr := FusedScan(ctx, r, ops, Exec{Path: PathInterp, Workers: 4})
 	if offErr == nil || err.Error() != offErr.Error() {
-		t.Fatalf("kernel fused error %q differs from row path %q", err, offErr)
+		t.Fatalf("kernel fused error %q differs from the interpreter's %q", err, offErr)
 	}
 
 	// Deselect the row at step 0 instead: no error anywhere.
@@ -307,12 +294,12 @@ func TestKernelFusedErrorAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("deselected erroring row still raised: %v", err)
 	}
-	off, offErr := FusedScan(ctx, r, ops, Exec{Path: PathRow, Workers: 4})
+	off, offErr := FusedScan(ctx, r, ops, Exec{Path: PathInterp, Workers: 4})
 	if offErr != nil {
 		t.Fatal(offErr)
 	}
 	if relFingerprint(t, res.Out) != relFingerprint(t, off.Out) {
-		t.Error("fused kernel differs from row path after deselection")
+		t.Error("fused kernel differs from the interpreter after deselection")
 	}
 }
 

@@ -51,7 +51,7 @@ func Project(r *Relation, names []string) (*Relation, error) {
 // Restrict filters a relation to tuples satisfying a predicate (Figure 3).
 // When the predicate is a simple comparison on an indexed stored column,
 // the index is scanned instead of the heap; otherwise every row is
-// evaluated on the path x selects.
+// evaluated by the evaluator x selects.
 func Restrict(r *Relation, pred expr.Node, x Exec) (*Relation, error) {
 	if err := expr.CheckPredicate(pred, r); err != nil {
 		return nil, err
@@ -75,71 +75,14 @@ func Restrict(r *Relation, pred expr.Node, x Exec) (*Relation, error) {
 	}
 
 	obs.Inc(obs.RelRestrictScans)
-	n := r.Len()
-	var rows []int
-	cp := r.compilePredicate(pred, x)
-	if kr, ok, err := kernelRestrictRows(r, pred, cp, x); err != nil {
-		return nil, fmt.Errorf("rel: restrict: %w", err)
-	} else if ok {
-		// Columnar kernel scan: monomorphic loops over contiguous
-		// chunk arrays produced selection vectors; kr is already in
-		// ascending row order.
-		rows = kr
-	} else if cp != nil {
-		// Compiled scan, chunk-parallel above the row threshold. Chunks
-		// are contiguous and concatenated in order, so the output is
-		// deterministic regardless of worker count.
-		chunks := x.chunks(n)
-		chunkRows := make([][]int, chunks)
-		err := runChunks(n, chunks, func(c, lo, hi int) error {
-			keep := make([]int, 0, (hi-lo)/4+8)
-			var scratch []types.Value
-			rd := r.reader()
-			for i := lo; i < hi; i++ {
-				var ok bool
-				var err error
-				ok, scratch, err = cp.eval(rd.at(i), scratch)
-				if err != nil {
-					return fmt.Errorf("rel: restrict: %w", err)
-				}
-				if ok {
-					keep = append(keep, i)
-				}
-			}
-			if err := rd.Err(); err != nil {
-				return fmt.Errorf("rel: restrict: %w", err)
-			}
-			chunkRows[c] = keep
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		total := 0
-		for _, ks := range chunkRows {
-			total += len(ks)
-		}
-		rows = make([]int, 0, total)
-		for _, ks := range chunkRows {
-			rows = append(rows, ks...)
-		}
-	} else {
-		rows = make([]int, 0, n/4+8)
-		cur := newRowCursor(r)
-		for i := 0; i < n; i++ {
-			cur.idx = i
-			keep, err := expr.EvalPredicate(pred, cur)
-			if err != nil {
-				return nil, fmt.Errorf("rel: restrict: %w", err)
-			}
-			if keep {
-				rows = append(rows, i)
-			}
-		}
-		if err := cur.rd.Err(); err != nil {
-			return nil, fmt.Errorf("rel: restrict: %w", err)
-		}
+	parts, kernel, err := partitionRows(r, []expr.Node{pred}, x)
+	if kernel {
+		obs.Inc(obs.RelKernelScans)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("rel: restrict: %w", err)
+	}
+	rows := parts[0]
 	out.tuples = make([][]types.Value, len(rows))
 	rd := r.reader()
 	for i, row := range rows {
@@ -326,7 +269,16 @@ func joinShape(l, r *Relation) (*Relation, map[string]string, error) {
 // output schema is l's stored columns followed by r's; name collisions are
 // disambiguated by suffixing r's columns with "_r" (and the predicate sees
 // the disambiguated names). Computed attributes of both inputs are carried
-// over where their references survive.
+// over where their references survive. The interpreter evaluates the
+// predicate one candidate pair at a time on every Exec path.
+//
+// The hash join drops the key equality it hashed on from the predicate
+// it evaluates per matched pair: for every kind keyOf buckets, two
+// values with the same key compare equal under types.Compare without
+// error (Int, Float and Date compare as float64, the form keyOf keys
+// them by; NaN and ±0 fold the same way in both), and null keys never
+// match. The conjunct is therefore true on every matched pair, and
+// "E and P" equals P wherever E is true.
 func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy, x Exec) (*Relation, error) {
 	out, rRename, err := joinShape(l, r)
 	if err != nil {
@@ -337,39 +289,10 @@ func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy, x Exec) (*Relat
 		return nil, fmt.Errorf("rel: join predicate: %w", err)
 	}
 
-	// The residual predicate runs compiled when x allows, and either way
-	// over one scratch tuple reused across every candidate pair; only
-	// kept pairs allocate an output tuple.
-	cp := out.compilePredicate(pred, x)
-	lw, rw := l.schema.Len(), r.schema.Len()
-	scratch := make([]types.Value, 0, lw+rw)
-	var matScratch []types.Value
-	env := &scratchEnv{rel: out}
-	emit := func(lt, rt []types.Value) ([]types.Value, error) {
-		scratch = scratch[:0]
-		scratch = append(scratch, lt...)
-		scratch = append(scratch, rt...)
-		var keep bool
-		var err error
-		if cp != nil {
-			keep, matScratch, err = cp.eval(scratch, matScratch)
-		} else {
-			env.tuple = scratch
-			keep, err = expr.EvalPredicate(pred, env)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			return append([]types.Value(nil), scratch...), nil
-		}
-		return nil, nil
-	}
-
 	if strategy == JoinAuto || strategy == JoinHash {
-		if la, ra, ok := equiKey(pred, l, r, rRename); ok {
+		if la, ra, eq, ok := equiKey(pred, l, r, rRename); ok {
 			obs.Inc(obs.RelJoinHash)
-			if err := hashJoin(out, l, r, la, ra, emit); err != nil {
+			if err := hashJoin(out, l, r, la, ra, joinEmit(out, withoutConjunct(pred, eq))); err != nil {
 				return nil, err
 			}
 			obs.Add(obs.RelJoinRowsOut, int64(len(out.tuples)))
@@ -381,6 +304,7 @@ func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy, x Exec) (*Relat
 	}
 
 	obs.Inc(obs.RelJoinNestedLoop)
+	emit := joinEmit(out, pred)
 	lrd, rrd := l.reader(), r.reader()
 	for i, ln := 0, l.Len(); i < ln; i++ {
 		lt := lrd.take(i)
@@ -404,14 +328,48 @@ func Join(l, r *Relation, pred expr.Node, strategy JoinStrategy, x Exec) (*Relat
 	return out, nil
 }
 
-// bindScratch wraps a candidate output tuple (not yet appended) as an
-// expr.Env against the output relation's schema and computed attributes.
-// Join allocates one scratchEnv and rebinds its tuple per candidate pair
-// instead of calling this per row.
-func (r *Relation) bindScratch(tuple []types.Value) expr.Env {
-	return &scratchEnv{rel: r, tuple: tuple}
+// joinEmit returns the per-pair step of a join into out: concatenate
+// the pair into one scratch tuple reused across pairs and, if pred
+// (nil means true) holds on it, return a copy.
+func joinEmit(out *Relation, pred expr.Node) func(lt, rt []types.Value) ([]types.Value, error) {
+	env := &scratchEnv{rel: out}
+	return func(lt, rt []types.Value) ([]types.Value, error) {
+		env.tuple = append(append(env.tuple[:0], lt...), rt...)
+		if pred != nil {
+			keep, err := expr.EvalPredicate(pred, env)
+			if err != nil || !keep {
+				return nil, err
+			}
+		}
+		return append([]types.Value(nil), env.tuple...), nil
+	}
 }
 
+// withoutConjunct returns pred with the conjunct eq removed from its
+// top-level "and" tree, or nil when nothing remains.
+func withoutConjunct(pred, eq expr.Node) expr.Node {
+	if pred == eq {
+		return nil
+	}
+	b, ok := pred.(*expr.Binary)
+	if !ok || b.Op != "and" {
+		return pred
+	}
+	l, r := withoutConjunct(b.L, eq), withoutConjunct(b.R, eq)
+	switch {
+	case l == nil:
+		return r
+	case r == nil:
+		return l
+	case l == b.L && r == b.R:
+		return b
+	}
+	return &expr.Binary{Op: "and", L: l, R: r}
+}
+
+// scratchEnv is an expr.Env over a candidate join output tuple (not yet
+// appended) against the output relation's schema and computed
+// attributes; a join rebinds one scratchEnv's tuple per candidate pair.
 type scratchEnv struct {
 	rel   *Relation
 	tuple []types.Value
@@ -434,27 +392,28 @@ func (s *scratchEnv) AttrValue(name string) (types.Value, bool) {
 	return types.Null, false
 }
 
-// equiKey finds an equality conjunct "lcol = rcol" usable as a hash key.
-// rRename maps r's original column names to their disambiguated names in
-// the join scope; the returned ra is r's ORIGINAL column name.
-func equiKey(pred expr.Node, l, r *Relation, rRename map[string]string) (la, ra string, ok bool) {
+// equiKey finds an equality conjunct "lcol = rcol" usable as a hash key,
+// returning it as eq. rRename maps r's original column names to their
+// disambiguated names in the join scope; the returned ra is r's ORIGINAL
+// column name.
+func equiKey(pred expr.Node, l, r *Relation, rRename map[string]string) (la, ra string, eq expr.Node, ok bool) {
 	b, isBin := pred.(*expr.Binary)
 	if !isBin {
-		return "", "", false
+		return "", "", nil, false
 	}
 	if b.Op == "and" {
-		if la, ra, ok = equiKey(b.L, l, r, rRename); ok {
-			return la, ra, true
+		if la, ra, eq, ok = equiKey(b.L, l, r, rRename); ok {
+			return la, ra, eq, true
 		}
 		return equiKey(b.R, l, r, rRename)
 	}
 	if b.Op != "=" {
-		return "", "", false
+		return "", "", nil, false
 	}
 	lr, lok := b.L.(*expr.Ref)
 	rr, rok := b.R.(*expr.Ref)
 	if !lok || !rok {
-		return "", "", false
+		return "", "", nil, false
 	}
 	// Resolve each ref to a side. A ref names r's column either by its
 	// original name (if unambiguous) or the renamed form.
@@ -481,11 +440,11 @@ func equiKey(pred expr.Node, l, r *Relation, rRename map[string]string) (la, ra 
 	s2, c2 := resolve(rr.Name)
 	switch {
 	case s1 == 0 && s2 == 1:
-		return c1, c2, true
+		return c1, c2, b, true
 	case s1 == 1 && s2 == 0:
-		return c2, c1, true
+		return c2, c1, b, true
 	}
-	return "", "", false
+	return "", "", nil, false
 }
 
 func hashJoin(out, l, r *Relation, la, ra string, emit func(lt, rt []types.Value) ([]types.Value, error)) error {
@@ -682,32 +641,15 @@ func Partition(r *Relation, preds []expr.Node, x Exec) ([]*Relation, error) {
 		}
 		outs[i] = r.derive(r.schema, true)
 	}
-	cps := make([]*compiledPred, len(preds))
-	for i, p := range preds {
-		cps[i] = r.compilePredicate(p, x) // nil falls back to the interpreter
+	rows, _, err := partitionRows(r, preds, x)
+	if err != nil {
+		return nil, fmt.Errorf("rel: partition: %w", err)
 	}
-	rows := make([][]int, len(preds))
-	cur := newRowCursor(r)
 	rd := r.reader()
-	var scratch []types.Value
-	for ti, n := 0, r.Len(); ti < n; ti++ {
-		for pi, p := range preds {
-			var keep bool
-			var err error
-			if cp := cps[pi]; cp != nil {
-				keep, scratch, err = cp.eval(rd.at(ti), scratch)
-			} else {
-				cur.idx = ti
-				keep, err = expr.EvalPredicate(p, cur)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("rel: partition: %w", err)
-			}
-			if keep {
-				outs[pi].tuples = append(outs[pi].tuples, rd.take(ti))
-				rows[pi] = append(rows[pi], ti)
-				break
-			}
+	for pi, prows := range rows {
+		outs[pi].tuples = make([][]types.Value, len(prows))
+		for i, row := range prows {
+			outs[pi].tuples[i] = rd.take(row)
 		}
 	}
 	if err := rd.Err(); err != nil {
@@ -717,6 +659,31 @@ func Partition(r *Relation, preds []expr.Node, x Exec) ([]*Relation, error) {
 		outs[pi].setProv(r, rows[pi])
 	}
 	return outs, nil
+}
+
+// partitionRows assigns each row of r to the first of preds that holds
+// on it, on the evaluator x selects, returning each predicate's rows in
+// ascending order and whether the kernel ran. Errors return unwrapped.
+func partitionRows(r *Relation, preds []expr.Node, x Exec) ([][]int, bool, error) {
+	if rows, ok, err := kernelPartitionRows(r, preds, x); ok {
+		return rows, true, err
+	}
+	rows := make([][]int, len(preds))
+	cur := newRowCursor(r)
+	for ti, n := 0, r.Len(); ti < n; ti++ {
+		cur.idx = ti
+		for pi, p := range preds {
+			keep, err := expr.EvalPredicate(p, cur)
+			if err != nil {
+				return nil, false, err
+			}
+			if keep {
+				rows[pi] = append(rows[pi], ti)
+				break
+			}
+		}
+	}
+	return rows, false, cur.rd.Err()
 }
 
 // MapColumn materializes a stored column from an expression evaluated per
@@ -741,49 +708,38 @@ func MapColumn(r *Relation, col string, def expr.Node, x Exec) (*Relation, error
 	n := r.Len()
 	out.tuples = make([][]types.Value, n)
 	rows := make([]int, n)
-	if ce := r.compileExpr(def, x); ce != nil {
-		// Compiled materialization, chunk-parallel above the row
-		// threshold: chunks write disjoint index ranges of the
-		// preallocated output, so order is deterministic by construction.
-		chunks := x.chunks(n)
-		err := runChunks(n, chunks, func(c, lo, hi int) error {
-			var scratch []types.Value
-			rd := r.reader()
-			for i := lo; i < hi; i++ {
-				t := rd.at(i)
-				var v types.Value
-				var err error
-				v, scratch, err = ce.eval(t, scratch)
-				if err != nil {
-					return fmt.Errorf("rel: map column %q row %d: %w", col, i, err)
-				}
-				nt := append([]types.Value(nil), t...)
-				nt[ci] = v
-				out.tuples[i] = nt
-				rows[i] = i
-			}
-			return rd.Err()
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		cur := newRowCursor(r)
-		rd := r.reader()
-		for i := 0; i < n; i++ {
+	rowErr := func(row int, err error) error {
+		return fmt.Errorf("rel: map column %q row %d: %w", col, row, err)
+	}
+	vals, ok, err := kernelValues(r, def, x, rowErr)
+	if err != nil {
+		return nil, err
+	}
+	cur := newRowCursor(r)
+	rd := r.reader()
+	for i := 0; i < n; i++ {
+		var v types.Value
+		if ok {
+			v = vals[i]
+		} else {
 			cur.idx = i
-			v, err := expr.Eval(def, cur)
-			if err != nil {
-				return nil, fmt.Errorf("rel: map column %q row %d: %w", col, i, err)
+			if v, err = expr.Eval(def, cur); err != nil {
+				return nil, rowErr(i, err)
 			}
-			nt := append([]types.Value(nil), rd.at(i)...)
-			nt[ci] = v
-			out.tuples[i] = nt
-			rows[i] = i
 		}
-		if err := rd.Err(); err != nil {
-			return nil, fmt.Errorf("rel: map column %q: %w", col, err)
+		if k == types.Float && v.Kind() == types.Int {
+			// Check types a mixed Int/Float if() (and what derives from
+			// it) as Float, but a row may evaluate to an Int; a stored
+			// column holds its declared kind, as Append enforces.
+			v = types.NewFloat(float64(v.Int()))
 		}
+		nt := append([]types.Value(nil), rd.at(i)...)
+		nt[ci] = v
+		out.tuples[i] = nt
+		rows[i] = i
+	}
+	if err := rd.Err(); err != nil {
+		return nil, fmt.Errorf("rel: map column %q: %w", col, err)
 	}
 	out.setProv(r, rows)
 	return out, nil

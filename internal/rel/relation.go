@@ -51,7 +51,7 @@ type Relation struct {
 	// install a new store sharing every untouched chunk slot.
 	cols *colStore
 	// colview caches a lazily-encoded columnar view of a row-major
-	// relation, keyed by generation, so compiled predicate kernels can
+	// relation, keyed by generation, so the columnar kernel can
 	// run over contiguous arrays without the relation itself migrating.
 	// The view's chunks are encoded on demand from the (immutable at
 	// this generation) tuple slices and are freely evictable.

@@ -20,6 +20,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -48,6 +49,9 @@ const maxServerRead = 64 << 10
 // fails the write instead of holding the write lock forever.
 const writeTimeout = 10 * time.Second
 
+// closeFrameTimeout bounds Close's best-effort close frame.
+const closeFrameTimeout = 250 * time.Millisecond
+
 // WSConn is one WebSocket connection, either side. Reads must come
 // from a single goroutine; writes are internally serialized, so any
 // goroutine may send.
@@ -56,8 +60,9 @@ type WSConn struct {
 	br     *bufio.Reader
 	client bool // client side masks outgoing frames
 
-	wmu    sync.Mutex
-	closed bool // set by Close, or by a failed write that may have left a partial frame
+	wmu     sync.Mutex
+	closed  bool        // set by Close, or by a failed write that may have left a partial frame
+	closing atomic.Bool // set first thing in Close; writers stop re-arming the deadline
 }
 
 // Upgrade performs the server half of the WebSocket handshake,
@@ -319,7 +324,26 @@ func (ws *WSConn) writeFrameLocked(op byte, payload []byte) error {
 	if ws.closed {
 		return fmt.Errorf("server: write on closed websocket")
 	}
-	hdr := make([]byte, 0, 14)
+	hdr, payload, err := ws.frame(op, payload)
+	if err != nil {
+		return err
+	}
+	if err := ws.c.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
+		return err
+	}
+	// Checked after arming: Close sets closing before it moves the
+	// deadline into the past, so either this sees closing or Close's
+	// past deadline lands after ours and fails the write at once.
+	if ws.closing.Load() {
+		return fmt.Errorf("server: write on closing websocket")
+	}
+	return ws.send(hdr, payload)
+}
+
+// frame returns the header for one unfragmented frame and the payload
+// as it goes on the wire (masked on the client side).
+func (ws *WSConn) frame(op byte, payload []byte) (hdr, wire []byte, err error) {
+	hdr = make([]byte, 0, 14)
 	hdr = append(hdr, 0x80|op)
 	maskBit := byte(0)
 	if ws.client {
@@ -336,21 +360,23 @@ func (ws *WSConn) writeFrameLocked(op byte, payload []byte) error {
 		binary.BigEndian.PutUint64(ext[:], uint64(len(payload)))
 		hdr = append(hdr, ext[:]...)
 	}
-	if ws.client {
-		var mask [4]byte
-		if _, err := rand.Read(mask[:]); err != nil {
-			return err
-		}
-		hdr = append(hdr, mask[:]...)
-		masked := make([]byte, len(payload))
-		for i, b := range payload {
-			masked[i] = b ^ mask[i%4]
-		}
-		payload = masked
+	if !ws.client {
+		return hdr, payload, nil
 	}
-	if err := ws.c.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
-		return err
+	var mask [4]byte
+	if _, err := rand.Read(mask[:]); err != nil {
+		return nil, nil, err
 	}
+	hdr = append(hdr, mask[:]...)
+	masked := make([]byte, len(payload))
+	for i, b := range payload {
+		masked[i] = b ^ mask[i%4]
+	}
+	return hdr, masked, nil
+}
+
+// send writes one framed message under the deadline already set.
+func (ws *WSConn) send(hdr, payload []byte) error {
 	_, err := ws.c.Write(hdr)
 	if err == nil {
 		_, err = ws.c.Write(payload)
@@ -361,15 +387,20 @@ func (ws *WSConn) writeFrameLocked(op byte, payload []byte) error {
 	return err
 }
 
-// Close sends a close frame (best effort) and closes the connection.
-// It first fails any write in flight by moving the write deadline into
-// the past, so a peer that stopped reading cannot block Close.
+// Close sends a close frame (best effort, within closeFrameTimeout) and
+// closes the connection. It first fails any write in flight by moving
+// the write deadline into the past, and stops later writers from
+// re-arming it, so a peer that stopped reading cannot block Close.
 func (ws *WSConn) Close() error {
+	ws.closing.Store(true)
 	_ = ws.c.SetWriteDeadline(time.Unix(1, 0)) // an error here surfaces from c.Close below
 	ws.wmu.Lock()
 	if !ws.closed {
-		_ = ws.writeFrameLocked(opClose, nil)
 		ws.closed = true
+		if hdr, payload, err := ws.frame(opClose, nil); err == nil &&
+			ws.c.SetWriteDeadline(time.Now().Add(closeFrameTimeout)) == nil {
+			_ = ws.send(hdr, payload) // best effort: the connection closes either way
+		}
 	}
 	ws.wmu.Unlock()
 	return ws.c.Close()

@@ -162,6 +162,24 @@ func TestWSCloseDoesNotWaitOnStuckWrite(t *testing.T) {
 	}
 }
 
+// An idle connection whose peer never reads: Close's own close frame
+// must not wait out writeTimeout.
+func TestWSCloseIdleUnreadPeerIsBounded(t *testing.T) {
+	conn, peer := net.Pipe() // nothing ever reads peer
+	defer peer.Close()
+	ws := &WSConn{c: conn, br: bufio.NewReader(conn)}
+	closed := make(chan struct{})
+	go func() {
+		_ = ws.Close() // only whether Close returns is under test
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close of an idle connection waited on a peer that never reads")
+	}
+}
+
 func TestWSWritePairStaysAdjacent(t *testing.T) {
 	// A server goroutine hammers standalone messages while the main
 	// goroutine sends meta/payload pairs; every pair must arrive with

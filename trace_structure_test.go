@@ -17,7 +17,7 @@ import (
 // single Eval+render request's complete span tree — eval waves, box
 // firings, fused scans, render phases — must be reconstructible from
 // the flight recorder with correct parent links, and the tree's
-// *structure* must be identical across the engine ablations (compiled
+// *structure* must be identical across the engine ablations (kernel
 // vs interpreted, caches on vs off), so a trace diff always means a
 // semantic difference, never an instrumentation artifact.
 
@@ -164,7 +164,7 @@ func TestGoldenSpanTreeForEvalAndRender(t *testing.T) {
 }
 
 // TestTraceStructureIdenticalCompiledVsInterpreted renders the same
-// cold request under the compiled and interpreted engines and requires
+// cold request under the kernel and the interpreter and requires
 // identical span structure — the ablation must be invisible to a trace
 // diff.
 func TestTraceStructureIdenticalCompiledVsInterpreted(t *testing.T) {
@@ -172,7 +172,7 @@ func TestTraceStructureIdenticalCompiledVsInterpreted(t *testing.T) {
 	env, v, _ := newTraceEnv(t, true)
 
 	env.Eval.InvalidateAll() // viewer setup (PanTo) pre-demands the source
-	compiled := renderTree(t, v)
+	kernel := renderTree(t, v)
 
 	src := v.Source.(viewer.BoxOutputSource)
 	src.Options = append(src.Options, dataflow.WithPath(rel.PathInterp))
@@ -180,8 +180,8 @@ func TestTraceStructureIdenticalCompiledVsInterpreted(t *testing.T) {
 	env.Eval.InvalidateAll()
 	interpreted := renderTree(t, v)
 
-	if compiled != interpreted {
-		t.Fatalf("span structure diverges across the compile ablation:\ncompiled:\n%s\ninterpreted:\n%s", compiled, interpreted)
+	if kernel != interpreted {
+		t.Fatalf("span structure diverges across the evaluator ablation:\nkernel:\n%s\ninterpreted:\n%s", kernel, interpreted)
 	}
 }
 
